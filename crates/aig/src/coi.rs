@@ -9,9 +9,16 @@ use crate::{Aig, AigLit, Node, NodeId};
 /// Used by the benchmark generators and by structural statistics; also
 /// the basis of the "similar cones" discussion in the related-work
 /// section of the paper.
+///
+/// Membership is a bitset over node ids and the node count is cached
+/// when the cone is built, so [`Cone::size`] is O(1) and
+/// [`Cone::overlap`] a popcount over `num_nodes / 64` words — property
+/// clustering scores every property pair with them.
 #[derive(Clone, Debug)]
 pub struct Cone {
-    in_cone: Vec<bool>,
+    /// Bit `i % 64` of word `i / 64` is set iff node `i` is in the cone.
+    bits: Vec<u64>,
+    size: usize,
     num_latches: usize,
     num_inputs: usize,
 }
@@ -30,15 +37,18 @@ impl Cone {
     }
 
     fn compute<I: IntoIterator<Item = AigLit>>(aig: &Aig, roots: I, through_latches: bool) -> Self {
-        let mut in_cone = vec![false; aig.num_nodes()];
+        let mut bits = vec![0u64; aig.num_nodes().div_ceil(64)];
         let mut stack: Vec<NodeId> = roots.into_iter().map(AigLit::node).collect();
+        let mut size = 0;
         let mut num_latches = 0;
         let mut num_inputs = 0;
         while let Some(id) = stack.pop() {
-            if in_cone[id.index()] {
+            let (word, mask) = (id.index() / 64, 1u64 << (id.index() % 64));
+            if bits[word] & mask != 0 {
                 continue;
             }
-            in_cone[id.index()] = true;
+            bits[word] |= mask;
+            size += 1;
             match aig.node(id) {
                 Node::False => {}
                 Node::Input(_) => num_inputs += 1,
@@ -55,7 +65,8 @@ impl Cone {
             }
         }
         Cone {
-            in_cone,
+            bits,
+            size,
             num_latches,
             num_inputs,
         }
@@ -63,7 +74,9 @@ impl Cone {
 
     /// Whether `id` lies in the cone.
     pub fn contains(&self, id: NodeId) -> bool {
-        self.in_cone.get(id.index()).copied().unwrap_or(false)
+        self.bits
+            .get(id.index() / 64)
+            .is_some_and(|w| w & (1u64 << (id.index() % 64)) != 0)
     }
 
     /// Number of latches in the cone.
@@ -78,7 +91,7 @@ impl Cone {
 
     /// Total number of nodes in the cone.
     pub fn size(&self) -> usize {
-        self.in_cone.iter().filter(|&&b| b).count()
+        self.size
     }
 
     /// Number of nodes lying in both this cone and `other`.
@@ -105,11 +118,11 @@ impl Cone {
     /// assert_eq!(cl.overlap(&cl), cl.size());
     /// ```
     pub fn overlap(&self, other: &Cone) -> usize {
-        self.in_cone
+        self.bits
             .iter()
-            .zip(&other.in_cone)
-            .filter(|&(&a, &b)| a && b)
-            .count()
+            .zip(&other.bits)
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum()
     }
 }
 
@@ -162,6 +175,85 @@ mod tests {
         assert_eq!(c1.overlap(&c2), 1);
         assert_eq!(c2.overlap(&c1), 1);
         assert_eq!(c1.overlap(&c1), c1.size());
+    }
+
+    /// A reference cone: plain `Vec<bool>` membership, the pre-bitset
+    /// representation.
+    fn naive_cone(aig: &Aig, roots: &[AigLit], through_latches: bool) -> Vec<bool> {
+        let mut in_cone = vec![false; aig.num_nodes()];
+        let mut stack: Vec<NodeId> = roots.iter().map(|l| l.node()).collect();
+        while let Some(id) = stack.pop() {
+            if std::mem::replace(&mut in_cone[id.index()], true) {
+                continue;
+            }
+            match aig.node(id) {
+                Node::False | Node::Input(_) => {}
+                Node::Latch(k) => {
+                    if through_latches {
+                        stack.push(aig.latches()[k as usize].next.node());
+                    }
+                }
+                Node::And(a, b) => stack.extend([a.node(), b.node()]),
+            }
+        }
+        in_cone
+    }
+
+    #[test]
+    fn bitset_size_and_overlap_match_naive_counts_on_random_aigs() {
+        use japrove_rng::SplitMix64;
+        for case in 0..64u64 {
+            let mut rng = SplitMix64::seed_from_u64(0xc0e0_0000 + case);
+            let mut g = Aig::new();
+            let mut pool = vec![AigLit::FALSE];
+            for _ in 0..rng.gen_index(1, 8) {
+                pool.push(g.add_input());
+            }
+            let latches: Vec<AigLit> = (0..rng.gen_index(0, 12))
+                .map(|_| g.add_latch(rng.gen_bool()))
+                .collect();
+            pool.extend(&latches);
+            // Enough gates that node ids straddle several 64-bit words.
+            for _ in 0..rng.gen_index(1, 200) {
+                let a = pool[rng.gen_index(0, pool.len())];
+                let b = pool[rng.gen_index(0, pool.len())];
+                let gate = g.and(a, if rng.gen_bool() { !b } else { b });
+                pool.push(gate);
+            }
+            for &l in &latches {
+                g.set_next(l, pool[rng.gen_index(0, pool.len())]);
+            }
+            let roots: Vec<Vec<AigLit>> = (0..4)
+                .map(|_| {
+                    (0..rng.gen_index(1, 4))
+                        .map(|_| pool[rng.gen_index(0, pool.len())])
+                        .collect()
+                })
+                .collect();
+            for through_latches in [false, true] {
+                let cones: Vec<Cone> = roots
+                    .iter()
+                    .map(|r| Cone::compute(&g, r.iter().copied(), through_latches))
+                    .collect();
+                let naive: Vec<Vec<bool>> = roots
+                    .iter()
+                    .map(|r| naive_cone(&g, r, through_latches))
+                    .collect();
+                for (cone, reference) in cones.iter().zip(&naive) {
+                    let size = reference.iter().filter(|&&b| b).count();
+                    assert_eq!(cone.size(), size, "case {case}");
+                    for id in g.node_ids() {
+                        assert_eq!(cone.contains(id), reference[id.index()], "case {case}");
+                    }
+                }
+                for (a, na) in cones.iter().zip(&naive) {
+                    for (b, nb) in cones.iter().zip(&naive) {
+                        let both = na.iter().zip(nb).filter(|&(&x, &y)| x && y).count();
+                        assert_eq!(a.overlap(b), both, "case {case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

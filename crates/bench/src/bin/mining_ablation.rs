@@ -17,6 +17,8 @@
 //! verification. Verdict parity between the separate baseline and the
 //! clustered driver is asserted on every mined workload, and no mined
 //! property may be falsified — the bench doubles as a soundness run.
+//! Each row also reports clustered over separate verify time, and the
+//! run names every row where clustered is the slower driver.
 //!
 //! `--json <path>` writes the rows; the committed `BENCH_mining.json`
 //! at the repository root is regenerated exactly this way. `--small`
@@ -97,10 +99,11 @@ fn main() -> ExitCode {
         "Mining ablation: guess / sim-filter / k-induction, then verify",
         &[
             "design", "#cand", "sim-kill", "ind-kill", "mined", "t(gen)", "t(sim)", "t(ind)",
-            "t(sep)", "t(clu)",
+            "t(sep)", "t(clu)", "clu/sep",
         ],
     );
     let mut rows: Vec<Json> = Vec::new();
+    let mut clustered_slower: Vec<String> = Vec::new();
 
     for spec in specs {
         let sys = spec.generate().sys;
@@ -145,6 +148,10 @@ fn main() -> ExitCode {
             );
         }
 
+        let ratio = clu_time.as_secs_f64() / sep_time.as_secs_f64();
+        if ratio > 1.0 {
+            clustered_slower.push(sys.name().to_string());
+        }
         table.row(&[
             sys.name(),
             &s.generated().to_string(),
@@ -156,6 +163,7 @@ fn main() -> ExitCode {
             &fmt_time(Duration::from_micros(s.induction_us)),
             &fmt_time(sep_time),
             &fmt_time(clu_time),
+            &format!("{ratio:.2}"),
         ]);
         rows.push(Json::obj([
             ("design", Json::str(sys.name())),
@@ -176,6 +184,7 @@ fn main() -> ExitCode {
                 "verify_clustered_us",
                 Json::int(clu_time.as_micros() as u64),
             ),
+            ("clustered_over_separate", Json::num(ratio)),
             ("per_kind", per_kind_json(&outcome)),
         ]));
     }
@@ -185,6 +194,14 @@ fn main() -> ExitCode {
         "(sim-kill: falsified by the random-simulation filter; ind-kill: rejected by \
          k={k} induction; every mined property re-proves under both drivers)"
     );
+    if clustered_slower.is_empty() {
+        println!("clustered verifies no slower than separate on every row");
+    } else {
+        println!(
+            "clustered verifies slower than separate on: {}",
+            clustered_slower.join(", ")
+        );
+    }
 
     if let Some(path) = json_path {
         let doc = Json::obj([

@@ -413,6 +413,12 @@ pub fn affinity_clusters_with_cost(
 
 /// The merging loop, split out so tests can drive it on a hand-built
 /// graph.
+///
+/// Each live cluster row caches its best merge partner (see
+/// [`best_partner`]); a merge recomputes only the rows whose cached
+/// partner took part in it, so picking the next merge is a scan over
+/// the cached rows instead of over every pair. The merge sequence, tie
+/// breaks included, is exactly that of the all-pairs scan.
 fn agglomerate(
     graph: &AffinityGraph,
     max_group_size: usize,
@@ -430,24 +436,23 @@ fn agglomerate(
     let mut aff: Vec<Vec<f64>> = (0..n)
         .map(|i| (0..n).map(|j| graph.score(i, j)).collect())
         .collect();
+    let mut best: Vec<Option<(usize, f64)>> = (0..n)
+        .map(|i| best_partner(i, &aff, &alive, &members, max_group_size, min_affinity))
+        .collect();
 
     loop {
-        let mut best: Option<(usize, usize, f64)> = None;
-        for i in 0..n {
-            if !alive[i] {
-                continue;
-            }
-            for j in (i + 1)..n {
-                if !alive[j] || members[i].len() + members[j].len() > max_group_size {
-                    continue;
-                }
-                let s = aff[i][j];
-                if s >= min_affinity && best.map_or(true, |(_, _, b)| s > b) {
-                    best = Some((i, j, s));
+        // The all-pairs scan visits pairs in (row, column) order and
+        // keeps the first strict maximum: the best row, lowest row on
+        // ties, then that row's best column.
+        let mut pick: Option<(usize, usize, f64)> = None;
+        for (i, b) in best.iter().enumerate() {
+            if let Some((j, s)) = *b {
+                if pick.map_or(true, |(_, _, p)| s > p) {
+                    pick = Some((i, j, s));
                 }
             }
         }
-        let Some((i, j, _)) = best else { break };
+        let Some((i, j, _)) = pick else { break };
         let (wi, wj) = (members[i].len() as f64, members[j].len() as f64);
         for k in 0..n {
             if alive[k] && k != i && k != j {
@@ -459,6 +464,35 @@ fn agglomerate(
         let moved = std::mem::take(&mut members[j]);
         members[i].extend(moved);
         alive[j] = false;
+        best[j] = None;
+
+        // Only pairs involving `i` or `j` changed: rescan the merged
+        // row and every row whose partner was `i` or `j`.
+        for k in 0..n {
+            if !alive[k] {
+                continue;
+            }
+            match best[k] {
+                _ if k == i => {}
+                Some((p, _)) if p == i || p == j => {}
+                cached if k < i => {
+                    // The merged score averages two scores this row
+                    // already ranked, but rounding can lift it past the
+                    // cached best, or onto it with the lower column.
+                    let t = aff[k][i];
+                    let wins = cached.map_or(true, |(p, s)| t > s || (t == s && i < p));
+                    if wins
+                        && t >= min_affinity
+                        && members[k].len() + members[i].len() <= max_group_size
+                    {
+                        best[k] = Some((i, t));
+                    }
+                    continue;
+                }
+                _ => continue,
+            }
+            best[k] = best_partner(k, &aff, &alive, &members, max_group_size, min_affinity);
+        }
     }
 
     let mut clusters: Vec<Vec<PropertyId>> = members
@@ -472,6 +506,33 @@ fn agglomerate(
         .collect();
     clusters.sort_by_key(|c| c[0]);
     clusters
+}
+
+/// Row `i`'s best merge partner: the live cluster `j > i` of highest
+/// affinity that fits under the size cap and meets the threshold,
+/// lowest `j` on ties.
+fn best_partner(
+    i: usize,
+    aff: &[Vec<f64>],
+    alive: &[bool],
+    members: &[Vec<usize>],
+    max_group_size: usize,
+    min_affinity: f64,
+) -> Option<(usize, f64)> {
+    if !alive[i] {
+        return None;
+    }
+    let mut best: Option<(usize, f64)> = None;
+    for j in (i + 1)..aff.len() {
+        if !alive[j] || members[i].len() + members[j].len() > max_group_size {
+            continue;
+        }
+        let s = aff[i][j];
+        if s >= min_affinity && best.map_or(true, |(_, b)| s > b) {
+            best = Some((j, s));
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -622,6 +683,136 @@ mod tests {
             j.score(0, 2),
             AffinityGraph::build(&sys, AffinityMetric::Jaccard).score(0, 2)
         );
+    }
+
+    /// The all-pairs merging loop `agglomerate` replaced, kept as the
+    /// reference its merge sequence must reproduce.
+    fn reference_agglomerate(
+        graph: &AffinityGraph,
+        max_group_size: usize,
+        min_affinity: f64,
+    ) -> Vec<Vec<PropertyId>> {
+        let n = graph.len();
+        let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+        let mut alive: Vec<bool> = vec![true; n];
+        let mut aff: Vec<Vec<f64>> = (0..n)
+            .map(|i| (0..n).map(|j| graph.score(i, j)).collect())
+            .collect();
+        loop {
+            let mut best: Option<(usize, usize, f64)> = None;
+            for i in 0..n {
+                if !alive[i] {
+                    continue;
+                }
+                for j in (i + 1)..n {
+                    if !alive[j] || members[i].len() + members[j].len() > max_group_size {
+                        continue;
+                    }
+                    let s = aff[i][j];
+                    if s >= min_affinity && best.map_or(true, |(_, _, b)| s > b) {
+                        best = Some((i, j, s));
+                    }
+                }
+            }
+            let Some((i, j, _)) = best else { break };
+            let (wi, wj) = (members[i].len() as f64, members[j].len() as f64);
+            for k in 0..n {
+                if alive[k] && k != i && k != j {
+                    let merged = (wi * aff[i][k] + wj * aff[j][k]) / (wi + wj);
+                    aff[i][k] = merged;
+                    aff[k][i] = merged;
+                }
+            }
+            let moved = std::mem::take(&mut members[j]);
+            members[i].extend(moved);
+            alive[j] = false;
+        }
+        let mut clusters: Vec<Vec<PropertyId>> = members
+            .into_iter()
+            .zip(alive)
+            .filter(|(_, live)| *live)
+            .map(|(mut m, _)| {
+                m.sort_unstable();
+                m.into_iter().map(PropertyId::new).collect()
+            })
+            .collect();
+        clusters.sort_by_key(|c| c[0]);
+        clusters
+    }
+
+    #[test]
+    fn cached_agglomerate_matches_the_all_pairs_reference() {
+        use japrove_rng::SplitMix64;
+        for case in 0..96u64 {
+            let mut rng = SplitMix64::seed_from_u64(0xa991_0000 + case);
+            let n = rng.gen_index(0, 48);
+            // Few distinct levels make ties the common case, in the
+            // raw scores and in the averages merges produce.
+            let levels = rng.gen_index(2, 6) as u64;
+            let scores: Vec<f64> = (0..n * n.saturating_sub(1) / 2)
+                .map(|_| rng.gen_range(0, levels) as f64 / (levels - 1) as f64)
+                .collect();
+            let graph = AffinityGraph { n, scores };
+            for max in [1usize, 2, 16] {
+                for min in [0.0, 0.3, 0.5] {
+                    assert_eq!(
+                        agglomerate(&graph, max, min),
+                        reference_agglomerate(&graph, max, min),
+                        "case {case} n={n} max={max} min={min}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cached_agglomerate_follows_rounding_in_merged_scores() {
+        // Average linkage can round the merged score of two equal
+        // scores above both: (1 * 0.1 + 2 * 0.1) / 3 is the next double
+        // above 0.1. A cached row must then switch to the merged
+        // cluster exactly as the all-pairs scan does.
+        let above = (0.1 + 2.0 * 0.1) / 3.0;
+        assert!(above > 0.1);
+        let graph = |n: usize, score: &dyn Fn(usize, usize) -> f64| AffinityGraph {
+            n,
+            scores: (0..n)
+                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+                .map(|(i, j)| score(i, j))
+                .collect(),
+        };
+        let ids = |c: &[&[usize]]| -> Vec<Vec<PropertyId>> {
+            c.iter()
+                .map(|m| m.iter().map(|&p| PropertyId::new(p)).collect())
+                .collect()
+        };
+        // Clusters {3,4} then {2,3,4} form; property 0 scores 0.1 with
+        // every other property, so its merged score with {2,3,4} rounds
+        // above its cached best (property 1) — or, at threshold
+        // `above`, gives it its first eligible partner.
+        let strictly_better = graph(5, &|i, j| match (i, j) {
+            (3, 4) => 1.0,
+            (2, 3) | (2, 4) => 0.9,
+            (0, _) => 0.1,
+            _ => 0.0,
+        });
+        // Clusters {2,3} then {1,2,3} form; property 0's merged score
+        // with them rounds up to tie its cached best (property 4), and
+        // the lower column wins the tie.
+        let tie = graph(5, &|i, j| match (i, j) {
+            (2, 3) => 1.0,
+            (1, 2) | (1, 3) => 0.9,
+            (0, 4) => above,
+            (0, _) => 0.1,
+            _ => 0.0,
+        });
+        for (g, min, want) in [
+            (&strictly_better, 0.1, ids(&[&[0, 2, 3, 4], &[1]])),
+            (&strictly_better, above, ids(&[&[0, 2, 3, 4], &[1]])),
+            (&tie, 0.1, ids(&[&[0, 1, 2, 3], &[4]])),
+        ] {
+            assert_eq!(reference_agglomerate(g, 16, min), want);
+            assert_eq!(agglomerate(g, 16, min), want);
+        }
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //!    ([`TransitionSystem::restrict_to_cone`]): affinity clusters are
 //!    cone-coherent, so the aggregate is encoded and solved on a
 //!    fraction of the design; certificates and counterexamples are
-//!    lifted back. Any member the attempt leaves Unknown — a
+//!    lifted back. The attempt starts from every whole certificate the
+//!    run has already proved whose latch support lies inside the cone,
+//!    so later clusters re-use earlier proofs instead of re-deriving
+//!    them. Any member the attempt leaves Unknown — a
 //!    *cluster-level Unknown* (budget out, spurious aggregate
 //!    counterexample) — **falls back to a per-property check** on the
 //!    worker's warm [`japrove_ic3::SolverCtx`], so clustering can

@@ -52,11 +52,11 @@ use japrove_logic::{Clause, Var};
 use japrove_obs::{EventKind, Journal, Phase};
 use japrove_sat::{BackendChoice, Budget};
 use japrove_tsys::{complete_trace, replay, CoiMap, PropertyId, TransitionSystem};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How the planner orders units and the dispatcher hands them out.
@@ -428,7 +428,14 @@ impl Session {
             SessionKind::Parallel(opts) => {
                 run_parallel(sys, self.threads, opts, self.schedule, &plan)
             }
-            SessionKind::Joint(opts) => run_joint(sys, opts, &plan),
+            SessionKind::Joint(opts) => {
+                let members = plan
+                    .units
+                    .first()
+                    .map(|u| u.members.clone())
+                    .unwrap_or_default();
+                run_joint(sys, opts, &plan.cached, members, &[])
+            }
             SessionKind::Clustered(opts) => run_clustered(sys, self.threads, opts, &plan),
         };
         self.supervise_retries(sys, started, &mut report);
@@ -801,9 +808,18 @@ fn run_cold_fifo(
     })
 }
 
-/// The Jnt-ver loop (§9): verify the aggregate property, refute the
-/// properties its counterexample falsifies, re-iterate.
-fn run_joint(sys: &TransitionSystem, opts: &JointOptions, plan: &Plan) -> MultiReport {
+/// The Jnt-ver loop (§9): verify the aggregate property over `members`,
+/// refute the properties its counterexample falsifies, re-iterate.
+/// `cached` results are reported as they are; every aggregate IC3 run
+/// starts from the `imported` clauses, which must hold in every
+/// reachable state of `sys`.
+fn run_joint(
+    sys: &TransitionSystem,
+    opts: &JointOptions,
+    cached: &[PropertyResult],
+    members: Vec<PropertyId>,
+    imported: &[Clause],
+) -> MultiReport {
     let deadline = opts.total.map(|d| Instant::now() + d);
     let mut report = MultiReport::new(
         sys.name(),
@@ -813,12 +829,8 @@ fn run_joint(sys: &TransitionSystem, opts: &JointOptions, plan: &Plan) -> MultiR
             "joint"
         },
     );
-    report.results.extend(plan.cached.iter().cloned());
-    let mut remaining: Vec<PropertyId> = plan
-        .units
-        .first()
-        .map(|u| u.members.clone())
-        .unwrap_or_default();
+    report.results.extend(cached.iter().cloned());
+    let mut remaining = members;
 
     let push_result = |report: &mut MultiReport,
                        id: PropertyId,
@@ -901,7 +913,8 @@ fn run_joint(sys: &TransitionSystem, opts: &JointOptions, plan: &Plan) -> MultiR
                 None => {
                     let _joint_span = opts.journal.span(Phase::JointAttempt);
                     let ic3_opts = opts.ic3.budget(budget).backend(opts.backend);
-                    let mut engine = Ic3::new(&agg, agg_id, ic3_opts);
+                    let mut engine =
+                        Ic3::with_context(&agg, agg_id, ic3_opts, Vec::new(), imported.to_vec());
                     engine.set_journal(opts.journal.clone());
                     let o = engine.run();
                     (o, engine.stats().frames, *engine.stats())
@@ -1022,6 +1035,17 @@ fn run_clustered(
 
     let workers = threads.min(units.len());
     let mut results: Vec<PropertyResult> = plan.cached.clone();
+    // Seeds for the joint attempts: global proofs only, and only when
+    // clause re-use is on.
+    let ledger = (opts.separate.reuse && opts.separate.scope == Scope::Global).then(|| {
+        let ledger = ProofLedger::default();
+        for r in &results {
+            if let CheckOutcome::Proved(cert) = &r.outcome {
+                ledger.record(cert);
+            }
+        }
+        ledger
+    });
     if workers > 0 {
         let enc = {
             let _enc_span = journal.span(Phase::Encode);
@@ -1039,6 +1063,7 @@ fn run_clustered(
                 let global_db = global_db.clone();
                 let units = &units;
                 let assumed = &assumed;
+                let ledger = ledger.as_ref();
                 handles.push(scope.spawn(move || {
                     let mut pool = CtxPool::with_encoding(enc);
                     pool.set_journal(opts.separate.journal.clone());
@@ -1051,6 +1076,7 @@ fn run_clustered(
                             opts,
                             assumed,
                             &global_db,
+                            ledger,
                             deadline,
                             &mut pool,
                         ));
@@ -1127,9 +1153,91 @@ fn lift_counterexample(
     })
 }
 
-/// Verifies one cluster: optional joint attempt, then warm
-/// per-property checks with two-level clause re-use for whatever the
-/// attempt left open.
+/// One certificate of the [`ProofLedger`], in original latch
+/// coordinates.
+struct LedgerEntry {
+    clauses: Arc<[Clause]>,
+    /// The latches the clauses mention, ascending.
+    support: Vec<usize>,
+}
+
+/// The whole certificates a clustered run has proved so far, shared by
+/// its workers: one entry per Proved fallback check and one per
+/// successful joint attempt, however many members it decided.
+///
+/// A joint attempt starts from every entry whose support lies inside
+/// its cluster's cone. Entries are whole certificates, never clauses
+/// picked one by one: a conjunction of inductive invariants is
+/// inductive, and one that mentions only cone latches stays inductive
+/// on the cone reduction, whose latches evolve exactly as they do in
+/// the full design. The attempt's own certificate includes its imports,
+/// so it re-verifies on the original design. A clause-by-clause
+/// projection of the clause store would keep verdicts sound but break
+/// that: the projected set need not be inductive.
+#[derive(Default)]
+struct ProofLedger {
+    entries: Mutex<Vec<LedgerEntry>>,
+}
+
+impl ProofLedger {
+    /// Adds a global certificate (original coordinates).
+    fn record(&self, cert: &Certificate) {
+        if cert.clauses.is_empty() {
+            return;
+        }
+        let mut support: Vec<usize> = cert
+            .clauses
+            .iter()
+            .flat_map(|c| c.lits().iter().map(|l| l.var().index() as usize))
+            .collect();
+        support.sort_unstable();
+        support.dedup();
+        let entry = LedgerEntry {
+            clauses: cert.clauses.clone().into(),
+            support,
+        };
+        // A push either happens or not: a poisoned ledger is intact.
+        self.entries
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(entry);
+    }
+
+    /// The union of the entries whose support lies inside the cone
+    /// `map` keeps, deduplicated and remapped to reduced coordinates.
+    fn seed(&self, map: &CoiMap, num_latches: usize) -> Vec<Clause> {
+        let mut reduced_of: Vec<Option<u32>> = vec![None; num_latches];
+        for (r, &o) in map.latches.iter().enumerate() {
+            reduced_of[o] = Some(r as u32);
+        }
+        let in_cone: Vec<Arc<[Clause]>> = self
+            .entries
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .filter(|e| e.support.iter().all(|&l| reduced_of[l].is_some()))
+            .map(|e| Arc::clone(&e.clauses))
+            .collect();
+        let mut seen = HashSet::new();
+        let mut seed = Vec::new();
+        for clause in in_cone.iter().flat_map(|c| c.iter()) {
+            let reduced = Clause::from_lits(clause.lits().iter().map(|l| {
+                let r = reduced_of[l.var().index() as usize].expect("support lies in the cone");
+                Var::new(r).lit(l.is_negated())
+            }));
+            if let Some(normalized) = reduced.normalized() {
+                if seen.insert(normalized.clone()) {
+                    seed.push(normalized);
+                }
+            }
+        }
+        seed
+    }
+}
+
+/// Verifies one cluster: optional joint attempt, seeded from the
+/// `ledger`'s in-cone certificates, then warm per-property checks with
+/// two-level clause re-use for whatever the attempt left open.
 #[allow(clippy::too_many_arguments)]
 fn verify_cluster(
     sys: &TransitionSystem,
@@ -1138,6 +1246,7 @@ fn verify_cluster(
     opts: &ClusteredOptions,
     assumed: &[PropertyId],
     global_db: &ClauseDb,
+    ledger: Option<&ProofLedger>,
     deadline: Option<Instant>,
     pool: &mut CtxPool,
 ) -> Vec<PropertyResult> {
@@ -1166,8 +1275,12 @@ fn verify_cluster(
             let left = d.saturating_duration_since(Instant::now());
             jopts.total = Some(jopts.total.map_or(left, |t| t.min(left)));
         }
-        let attempt = crate::joint_verify(&sub, &jopts);
+        let seed = ledger.map_or_else(Vec::new, |l| l.seed(&map, sys.num_latches()));
+        let attempt = run_joint(&sub, &jopts, &[], sub.property_ids().collect(), &seed);
         let mut solved = Vec::new();
+        // Every Proved member of one attempt carries the same aggregate
+        // certificate: lift, publish and record it once.
+        let mut lifted: Option<Certificate> = None;
         for r in attempt.results {
             let id = map.properties[r.id.index()];
             // A cluster-level Unknown (budget, spurious aggregate
@@ -1175,11 +1288,17 @@ fn verify_cluster(
             // the fallback so grouping can never lose a verdict.
             let outcome = match r.outcome {
                 CheckOutcome::Proved(cert) => {
-                    let lifted = lift_certificate(&cert, &map);
-                    if reuse {
-                        cluster_db.publish(lifted.clauses.iter().cloned());
-                    }
-                    Some(CheckOutcome::Proved(lifted))
+                    let lifted = lifted.get_or_insert_with(|| {
+                        let lifted = lift_certificate(&cert, &map);
+                        if reuse {
+                            cluster_db.publish(lifted.clauses.iter().cloned());
+                        }
+                        if let Some(ledger) = ledger {
+                            ledger.record(&lifted);
+                        }
+                        lifted
+                    });
+                    Some(CheckOutcome::Proved(lifted.clone()))
                 }
                 CheckOutcome::Falsified(cex) => {
                     lift_counterexample(sys, &map, id, &cex).map(CheckOutcome::Falsified)
@@ -1234,6 +1353,9 @@ fn verify_cluster(
         if reuse {
             if let CheckOutcome::Proved(cert) = &result.outcome {
                 cluster_db.publish(cert.clauses.iter().cloned());
+                if let Some(ledger) = ledger {
+                    ledger.record(cert);
+                }
             }
         }
         results.push(result);

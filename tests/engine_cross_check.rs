@@ -360,34 +360,44 @@ fn mined_workload_parity_between_clustered_and_separate() {
     // all-holding properties that cluster aggressively. The clustered
     // verdicts must match the separate baseline exactly, at 1 and at 8
     // threads — and since every mined property is k-induction proved,
-    // neither driver may falsify or abandon anything.
+    // neither driver may falsify or abandon anything. Joint attempts
+    // start from the certificates earlier clusters proved, so every
+    // clustered certificate must also re-verify on the mined design: a
+    // seed that is not a union of whole certificates breaks inductiveness
+    // without changing a verdict.
     use japrove::mine::{mine, MineOptions};
-    let design = japrove::genbench::resolve_spec("syn_6s135")
-        .expect("family exists")
-        .generate();
-    let outcome = mine(&design.sys, &MineOptions::new());
-    let sys = &outcome.sys;
-    assert!(
-        sys.num_properties() >= 200,
-        "need a few-hundred-property mined workload, got {}",
-        sys.num_properties()
-    );
-
-    let separate = separate_verify(sys, &SeparateOptions::global());
-    assert_eq!(separate.num_false(), 0, "mined properties cannot fail");
-    assert_eq!(separate.num_unsolved(), 0, "{}", separate.summary());
-
-    for threads in [1usize, 8] {
-        let clustered = parallel_clustered_verify(
-            sys,
-            threads,
-            &ClusteredOptions::new().separate(SeparateOptions::global()),
+    for family in ["syn_6s135", "syn_6s275"] {
+        let design = japrove::genbench::resolve_spec(family)
+            .expect("family exists")
+            .generate();
+        let outcome = mine(&design.sys, &MineOptions::new());
+        let sys = &outcome.sys;
+        assert!(
+            sys.num_properties() >= 200,
+            "need a few-hundred-property mined workload, got {}",
+            sys.num_properties()
         );
-        assert_eq!(separate.results.len(), clustered.results.len());
-        for (a, b) in separate.results.iter().zip(&clustered.results) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.holds(), b.holds(), "{}/{} x{threads}", sys.name(), a.name);
-            assert_eq!(a.fails(), b.fails(), "{}/{} x{threads}", sys.name(), a.name);
+
+        let separate = separate_verify(sys, &SeparateOptions::global());
+        assert_eq!(separate.num_false(), 0, "mined properties cannot fail");
+        assert_eq!(separate.num_unsolved(), 0, "{}", separate.summary());
+
+        for threads in [1usize, 8] {
+            let clustered = parallel_clustered_verify(
+                sys,
+                threads,
+                &ClusteredOptions::new().separate(SeparateOptions::global()),
+            );
+            assert_eq!(separate.results.len(), clustered.results.len());
+            for (a, b) in separate.results.iter().zip(&clustered.results) {
+                assert_eq!(a.id, b.id);
+                assert_eq!(a.holds(), b.holds(), "{}/{} x{threads}", sys.name(), a.name);
+                assert_eq!(a.fails(), b.fails(), "{}/{} x{threads}", sys.name(), a.name);
+                if let CheckOutcome::Proved(cert) = &b.outcome {
+                    verify_certificate(sys, b.id, &[], cert)
+                        .unwrap_or_else(|e| panic!("{}/{} x{threads}: {e}", sys.name(), b.name));
+                }
+            }
         }
     }
 }

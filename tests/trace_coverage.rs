@@ -70,6 +70,11 @@ fn clustered_spans_cover_wall_clock() {
     let rows = phase_breakdown(&events);
     let run_row = rows.iter().find(|r| r.phase == Phase::Run).unwrap();
     assert_eq!(run_row.count, 1);
+    // Joint attempts run inside the session's own solve stage: the
+    // session plans once, however many clusters it attempts.
+    assert!(seen.contains(&Phase::JointAttempt), "no joint attempt ran");
+    let plans = seen.iter().filter(|&&p| p == Phase::Plan).count();
+    assert_eq!(plans, 1, "a clustered run plans exactly once");
 }
 
 /// Whatever a real run emits must survive the strict JSONL schema —
