@@ -1,32 +1,31 @@
 //! §11 — JA-verification and parallel computing.
 //!
-//! Runs JA-verification on the parallel probe design with increasing
-//! worker counts, once per registered SAT backend, in **three** driver
-//! arms: the pre-incremental cold/FIFO baseline, the incremental
-//! driver (shared encoding, warm solvers, hardest-first work
-//! stealing), and the learned arm — the incremental driver dispatching
-//! in the order a cost model predicts from the incremental run's own
-//! per-property records, i.e. the second-run-warm configuration. The
-//! per-row speedup is incremental vs. cold at the same thread count,
-//! i.e. the win of the incrementality itself; on a many-core host the
-//! thread columns additionally show the (near embarrassing) parallel
-//! scaling the paper argues for.
+//! Runs JA-verification on the parallel probe design, once per
+//! registered SAT backend: the sequential driver (`ja_verify`) as the
+//! reference, then the parallel driver (`parallel_ja_verify`: shared
+//! encoding, warm solvers, hardest-first work stealing) at increasing
+//! worker counts. Every parallel run must reach exactly the sequential
+//! verdicts; the per-row speedup is sequential vs. parallel time. On a
+//! one-CPU host that column measures scheduling overhead; on a
+//! many-core host it shows the (near embarrassing) parallel scaling
+//! the paper argues for.
 //!
-//! `--json <path>` writes the rows in a CI-friendly schema; the
-//! committed `BENCH_parallel_scaling.json` baseline at the repository
-//! root is regenerated exactly this way. `--small` switches to a
-//! reduced family so release-mode CI can smoke-run the whole binary in
-//! seconds.
+//! `--json <path>` writes the rows in a CI-friendly schema. `--small`
+//! switches to a reduced family so release-mode CI can smoke-run the
+//! whole binary in seconds.
+//!
+//! The committed `BENCH_parallel_scaling.json` at the repository root
+//! was written by an earlier version of this binary (rev
+//! `dd906868241d`) that also ran a cold FIFO arm and a cost-model
+//! ("learned") dispatch arm. Both lost to work stealing on all eight
+//! backend × thread-count rows (cold FIFO 1.14–1.80×, learned
+//! 1.06–1.15× slower), which is why they were removed; the file is kept
+//! as that measurement.
 
 use japrove_bench::{fmt_time, write_json, Json, Table};
-use japrove_core::{
-    parallel_ja_verify_with, CostModel, MultiReport, ParallelMode, SchedulePolicy, SeparateOptions,
-    Session,
-};
+use japrove_core::{ja_verify, parallel_ja_verify, MultiReport, SeparateOptions};
 use japrove_genbench::FamilyParams;
-use japrove_obs::{FeatureStore, RunRecord};
 use japrove_sat::BackendChoice;
-use japrove_tsys::TransitionSystem;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -82,36 +81,6 @@ fn verdict_fingerprint(report: &MultiReport) -> Vec<(bool, bool)> {
         .collect()
 }
 
-/// A feature store seeded from `report`'s per-property records — the
-/// in-memory equivalent of a first `--feature-store` run, so the
-/// learned arm measures the realistic second-run-warm configuration.
-fn warm_store(sys: &TransitionSystem, report: &MultiReport) -> FeatureStore {
-    let design = format!("{:016x}", sys.structural_hash());
-    let mut store = FeatureStore::default();
-    for r in &report.results {
-        let verdict = if r.holds() {
-            "holds"
-        } else if r.fails() {
-            "fails"
-        } else {
-            "unknown"
-        };
-        store.upsert(RunRecord {
-            design: design.clone(),
-            property: r.name.clone(),
-            mode: "parallel".into(),
-            verdict: verdict.into(),
-            time_us: r.time.as_micros() as u64,
-            frames: r.frames as u64,
-            conflicts: r.stats.sat.conflicts,
-            decisions: r.stats.sat.decisions,
-            propagations: r.stats.sat.propagations,
-            restarts: r.stats.sat.restarts,
-        });
-    }
-    store
-}
-
 fn main() -> ExitCode {
     let mut json_path: Option<String> = None;
     let mut small = false;
@@ -142,87 +111,61 @@ fn main() -> ExitCode {
     let thread_counts: &[usize] = if small { &[1, 2] } else { &[1, 2, 4, 8] };
 
     let mut table = Table::new(
-        "Section 11: parallel JA-verification, cold vs incremental vs learned, per backend",
+        "Section 11: parallel vs sequential JA-verification, per backend",
         &[
             "backend",
             "threads",
-            "cold-fifo",
-            "incremental",
-            "learned",
+            "sequential",
+            "parallel",
             "speedup",
             "#true",
             "#unsolved",
         ],
     );
     let mut rows: Vec<Json> = Vec::new();
+    let row =
+        |backend: BackendChoice, threads: usize, mode: &str, report: &MultiReport, seconds| {
+            Json::obj([
+                ("backend", Json::str(backend.name())),
+                ("threads", Json::int(threads as u64)),
+                ("mode", Json::str(mode)),
+                ("seconds", Json::num(seconds)),
+                ("best_of", Json::int(repeat as u64)),
+                ("num_true", Json::int(report.num_true() as u64)),
+                ("num_false", Json::int(report.num_false() as u64)),
+                ("num_unsolved", Json::int(report.num_unsolved() as u64)),
+            ])
+        };
     for &backend in BackendChoice::ALL {
         let opts = SeparateOptions::local().backend(backend);
+        let (seq_time, seq) = timed_best(repeat, || ja_verify(sys, &opts));
+        rows.push(row(backend, 1, "sequential", &seq, seq_time.as_secs_f64()));
         for &threads in thread_counts {
-            let (cold_time, cold) = timed_best(repeat, || {
-                parallel_ja_verify_with(sys, threads, &opts, ParallelMode::ColdFifo)
-            });
-            let (incr_time, incr) = timed_best(repeat, || {
-                parallel_ja_verify_with(sys, threads, &opts, ParallelMode::Incremental)
-            });
-            // The learned arm is warm by construction: its cost model
-            // is fed by the incremental run it is compared against.
-            let store = warm_store(sys, &incr);
-            let (learned_time, learned) = timed_best(repeat, || {
-                Session::parallel(opts.clone(), threads)
-                    .schedule(SchedulePolicy::Learned)
-                    .cost_model(CostModel::from_store(&store, sys))
-                    .run(sys)
-            });
+            let (par_time, par) = timed_best(repeat, || parallel_ja_verify(sys, threads, &opts));
             assert_eq!(
-                verdict_fingerprint(&cold),
-                verdict_fingerprint(&incr),
-                "{backend} x{threads}: drivers must agree on every verdict"
+                verdict_fingerprint(&seq),
+                verdict_fingerprint(&par),
+                "{backend} x{threads}: the parallel driver must reach the sequential verdicts"
             );
-            assert_eq!(
-                verdict_fingerprint(&incr),
-                verdict_fingerprint(&learned),
-                "{backend} x{threads}: the learned schedule must not change verdicts"
-            );
-            let speedup = cold_time.as_secs_f64() / incr_time.as_secs_f64();
+            let speedup = seq_time.as_secs_f64() / par_time.as_secs_f64();
             table.row(&[
                 backend.name(),
                 &threads.to_string(),
-                &fmt_time(cold_time),
-                &fmt_time(incr_time),
-                &fmt_time(learned_time),
+                &fmt_time(seq_time),
+                &fmt_time(par_time),
                 &format!("{speedup:.2}x"),
-                &incr.num_true().to_string(),
-                &incr.num_unsolved().to_string(),
+                &par.num_true().to_string(),
+                &par.num_unsolved().to_string(),
             ]);
-            for (mode, report, seconds) in [
-                ("cold-fifo", &cold, cold_time),
-                ("incremental", &incr, incr_time),
-                ("learned", &learned, learned_time),
-            ] {
-                let mut row = Json::obj([
-                    ("backend", Json::str(backend.name())),
-                    ("threads", Json::int(threads as u64)),
-                    ("mode", Json::str(mode)),
-                    ("seconds", Json::num(seconds.as_secs_f64())),
-                    ("best_of", Json::int(repeat as u64)),
-                    ("num_true", Json::int(report.num_true() as u64)),
-                    ("num_false", Json::int(report.num_false() as u64)),
-                    ("num_unsolved", Json::int(report.num_unsolved() as u64)),
-                ]);
-                if mode != "cold-fifo" {
-                    row.push(
-                        "speedup_vs_cold",
-                        Json::num(cold_time.as_secs_f64() / seconds.as_secs_f64()),
-                    );
-                }
-                rows.push(row);
-            }
+            let mut par_row = row(backend, threads, "parallel", &par, par_time.as_secs_f64());
+            par_row.push("speedup_vs_sequential", Json::num(speedup));
+            rows.push(par_row);
         }
     }
     table.print();
     println!(
-        "(design: {} properties, {} latches; host exposes {} CPU(s) — the speedup column \
-         isolates the incremental driver's win at equal thread counts)",
+        "(design: {} properties, {} latches; host exposes {} CPU(s) — with fewer CPUs than \
+         threads the speedup column measures scheduling overhead, not parallel speedup)",
         sys.num_properties(),
         sys.num_latches(),
         host_cpus()

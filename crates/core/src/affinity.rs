@@ -59,7 +59,6 @@
 //! ```
 
 use crate::cluster::jaccard;
-use crate::costmodel::CostModel;
 use japrove_aig::Cone;
 use japrove_ic3::Bmc;
 use japrove_sat::{BackendChoice, Budget};
@@ -137,15 +136,6 @@ const W_SIZE: f64 = 0.2;
 const W_COMB: f64 = 0.2;
 const W_CORE: f64 = 0.2;
 
-/// Weight of the observed cost signal when a [`CostModel`] covers both
-/// endpoints: the structural blend keeps 80% of the say, the recorded
-/// cost similarity the remaining 20%. Properties of similar recorded
-/// cost tend to exercise the same logic at the same depth, so their
-/// proofs share clauses — and batching a cheap property with an
-/// expensive one mostly strands the cheap one behind the cluster's
-/// long pole.
-const W_COST_BLEND: f64 = 0.2;
-
 /// The pairwise property-affinity scores of one design.
 ///
 /// Scores are symmetric, lie in `[0, 1]` and are `1.0` on the
@@ -199,23 +189,6 @@ impl AffinityGraph {
         metric: AffinityMetric,
         backend: BackendChoice,
     ) -> Self {
-        AffinityGraph::build_with_cost(sys, metric, backend, None)
-    }
-
-    /// [`AffinityGraph::build_with`] plus an optional observed-cost
-    /// signal. Under the hybrid metric, a pair whose endpoints both
-    /// have a [`CostModel`] prediction gets
-    /// `(1 - 0.2) * structural + 0.2 * (1 - |cost_i - cost_j|)`:
-    /// similar recorded cost pulls properties together, dissimilar cost
-    /// pushes them apart. Pairs with a cold endpoint, and the pure
-    /// Jaccard metric, are unaffected — so a cold store reproduces
-    /// [`AffinityGraph::build_with`] exactly.
-    pub fn build_with_cost(
-        sys: &TransitionSystem,
-        metric: AffinityMetric,
-        backend: BackendChoice,
-        cost: Option<&CostModel>,
-    ) -> Self {
         let aig = sys.aig();
         let n = sys.num_properties();
         let seq_cones: Vec<Cone> = sys
@@ -252,13 +225,6 @@ impl AffinityGraph {
             }
         };
 
-        // Predicted costs per property, where the model has them.
-        let costs: Vec<Option<f64>> = sys
-            .properties()
-            .iter()
-            .map(|p| cost.and_then(|m| m.predicted(&p.name)))
-            .collect();
-
         let mut scores = Vec::with_capacity(n * n.saturating_sub(1) / 2);
         for i in 0..n {
             for j in (i + 1)..n {
@@ -289,15 +255,7 @@ impl AffinityGraph {
                         } else {
                             jaccard(&cores[i], &cores[j])
                         };
-                        let structural =
-                            W_SEQ * s_seq + W_SIZE * s_size + W_COMB * s_comb + W_CORE * s_core;
-                        match (costs[i], costs[j]) {
-                            (Some(ci), Some(cj)) => {
-                                let s_cost = 1.0 - (ci - cj).abs();
-                                (1.0 - W_COST_BLEND) * structural + W_COST_BLEND * s_cost
-                            }
-                            _ => structural,
-                        }
+                        W_SEQ * s_seq + W_SIZE * s_size + W_COMB * s_comb + W_CORE * s_core
                     }
                 };
                 scores.push(score);
@@ -392,22 +350,6 @@ pub fn affinity_clusters_with(
     backend: BackendChoice,
 ) -> Vec<Vec<PropertyId>> {
     let graph = AffinityGraph::build_with(sys, metric, backend);
-    agglomerate(&graph, max_group_size, min_affinity)
-}
-
-/// [`affinity_clusters_with`] plus an optional observed-cost signal
-/// (see [`AffinityGraph::build_with_cost`]); `None` — and any model
-/// without predictions for the design — reproduces the structural
-/// clustering exactly.
-pub fn affinity_clusters_with_cost(
-    sys: &TransitionSystem,
-    metric: AffinityMetric,
-    max_group_size: usize,
-    min_affinity: f64,
-    backend: BackendChoice,
-    cost: Option<&CostModel>,
-) -> Vec<Vec<PropertyId>> {
-    let graph = AffinityGraph::build_with_cost(sys, metric, backend, cost);
     agglomerate(&graph, max_group_size, min_affinity)
 }
 
@@ -635,54 +577,6 @@ mod tests {
         aig.set_next(l, l);
         let sys = TransitionSystem::new("empty", aig);
         assert!(affinity_clusters(&sys, AffinityMetric::Hybrid, 8, 0.5).is_empty());
-    }
-
-    #[test]
-    fn cost_signal_shifts_hybrid_scores_only_for_warm_pairs() {
-        use japrove_obs::{FeatureStore, RunRecord};
-        let sys = sys_with_shared_cones();
-        let design = format!("{:016x}", sys.structural_hash());
-        let mut store = FeatureStore::default();
-        // Records for the shared-cone pair only: c0_lt5 is cheap,
-        // c0_le6 expensive; the other two properties stay cold.
-        for (name, time) in [("c0_lt5", 100u64), ("c0_le6", 90_000)] {
-            store.upsert(RunRecord {
-                design: design.clone(),
-                property: name.into(),
-                mode: "ja".into(),
-                verdict: "holds".into(),
-                time_us: time,
-                frames: 1,
-                conflicts: time,
-                decisions: time,
-                propagations: 0,
-                restarts: 0,
-            });
-        }
-        let model = CostModel::from_store(&store, &sys);
-        let base = AffinityGraph::build(&sys, AffinityMetric::Hybrid);
-        let cost = AffinityGraph::build_with_cost(
-            &sys,
-            AffinityMetric::Hybrid,
-            BackendChoice::default(),
-            Some(&model),
-        );
-        // Dissimilar recorded cost pushes the warm pair (0, 2) apart...
-        assert!(cost.score(0, 2) < base.score(0, 2));
-        // ...while pairs with a cold endpoint are untouched.
-        assert_eq!(cost.score(0, 1), base.score(0, 1));
-        assert_eq!(cost.score(1, 3), base.score(1, 3));
-        // Jaccard ignores the model entirely.
-        let j = AffinityGraph::build_with_cost(
-            &sys,
-            AffinityMetric::Jaccard,
-            BackendChoice::default(),
-            Some(&model),
-        );
-        assert_eq!(
-            j.score(0, 2),
-            AffinityGraph::build(&sys, AffinityMetric::Jaccard).score(0, 2)
-        );
     }
 
     /// The all-pairs merging loop `agglomerate` replaced, kept as the

@@ -58,7 +58,6 @@
 pub mod affinity;
 mod cluster;
 mod clustered;
-mod costmodel;
 mod debug_set;
 mod enumerate;
 mod joint;
@@ -70,21 +69,17 @@ mod reuse;
 mod separate;
 mod verdict_cache;
 
-pub use affinity::{
-    affinity_clusters, affinity_clusters_with, affinity_clusters_with_cost, AffinityGraph,
-    AffinityMetric,
-};
+pub use affinity::{affinity_clusters, affinity_clusters_with, AffinityGraph, AffinityMetric};
 pub use cluster::{cluster_properties, grouped_verify, GroupingOptions};
 pub use clustered::{clustered_verify, parallel_clustered_verify, ClusteredOptions};
-pub use costmodel::CostModel;
 pub use debug_set::{check_local_global_agreement, validate_debugging_set, verify_reuse_soundness};
 pub use enumerate::{
     enumerate_report, CountEstimate, EnumOptions, EnumeratedCex, Projection, PropertyEnumeration,
 };
 pub use joint::{joint_verify, JointOptions};
 pub use mine::{mine_verify, MinedVerification};
-pub use parallel::{parallel_ja_verify, parallel_ja_verify_with, ParallelMode};
-pub use pipeline::{Plan, PlanUnit, SchedulePolicy, Session};
+pub use parallel::parallel_ja_verify;
+pub use pipeline::{Plan, PlanUnit, Session};
 pub use report::{MultiReport, PropertyResult, Scope};
 pub use reuse::{ClauseDb, TwoLevelSource};
 pub use separate::{

@@ -15,40 +15,20 @@
 //!
 //! # Scheduling and incrementality
 //!
-//! The default mode ([`ParallelMode::Incremental`]) encodes the design
-//! **once**, shares the encoding across workers, and gives every
-//! worker a warm solver pool so consecutive properties skip the
-//! per-property encode-and-reload cost entirely. Jobs are ordered
-//! hardest-first (by the size of each property's sequential
-//! cone of influence, from the clustering module) and dealt into
-//! per-worker deques; a worker that runs dry **steals** the back half
-//! of another worker's deque, so one long proof cannot strand the
-//! queue behind it. [`ParallelMode::ColdFifo`] preserves the pre-
-//! incremental driver — fresh encoding and solvers per property,
-//! declaration-order FIFO dispatch — as the measurable baseline for
-//! `parallel_scaling`.
+//! The driver encodes the design **once**, shares the encoding across
+//! workers, and gives every worker a warm solver pool so consecutive
+//! properties skip the per-property encode-and-reload cost entirely.
+//! Jobs are ordered hardest-first (by the size of each property's
+//! sequential cone of influence, from the clustering module) and dealt
+//! into per-worker deques; a worker that runs dry **steals** the back
+//! half of another worker's deque, so one long proof cannot strand the
+//! queue behind it.
 
-use crate::pipeline::SchedulePolicy;
 use crate::{MultiReport, SeparateOptions, Session};
 use japrove_tsys::TransitionSystem;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
-
-/// Scheduling/warm-start strategy of [`parallel_ja_verify_with`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ParallelMode {
-    /// Shared encoding, warm per-worker solvers, hardest-first
-    /// work-stealing dispatch. The default.
-    #[default]
-    Incremental,
-    /// The pre-incremental reference driver: every property re-encodes
-    /// the design into fresh solvers and jobs are handed out in
-    /// declaration order by a ticket counter. Kept for benchmarking
-    /// (`parallel_scaling` reports the speedup of the default mode
-    /// over this one) and as a bisection aid.
-    ColdFifo,
-}
 
 /// Hardest-first work-stealing dispatcher over job slots `0..n`.
 ///
@@ -172,59 +152,13 @@ pub fn parallel_ja_verify(
     threads: usize,
     opts: &SeparateOptions,
 ) -> MultiReport {
-    parallel_ja_verify_with(sys, threads, opts, ParallelMode::Incremental)
-}
-
-/// [`parallel_ja_verify`] with an explicit [`ParallelMode`]. A thin
-/// wrapper over the unified pipeline: [`ParallelMode::Incremental`]
-/// maps to [`SchedulePolicy::Steal`], [`ParallelMode::ColdFifo`] to
-/// [`SchedulePolicy::Fifo`].
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn parallel_ja_verify_with(
-    sys: &TransitionSystem,
-    threads: usize,
-    opts: &SeparateOptions,
-    mode: ParallelMode,
-) -> MultiReport {
-    let schedule = match mode {
-        ParallelMode::Incremental => SchedulePolicy::Steal,
-        ParallelMode::ColdFifo => SchedulePolicy::Fifo,
-    };
-    Session::parallel(opts.clone(), threads)
-        .schedule(schedule)
-        .run(sys)
+    Session::parallel(opts.clone(), threads).run(sys)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use japrove_aig::Aig;
-    use japrove_tsys::Word;
-
-    fn many_counters(n: usize) -> TransitionSystem {
-        let mut aig = Aig::new();
-        let mut goods = Vec::new();
-        for i in 0..n {
-            let w = Word::latches(&mut aig, 3 + (i % 3), 0);
-            let next = w.increment(&mut aig);
-            w.set_next(&mut aig, &next);
-            // Alternate true and false properties of varying depth.
-            let bound = if i % 3 == 0 {
-                1 << (3 + i % 3)
-            } else {
-                3 + i as u64 % 5
-            };
-            goods.push(w.lt_const(&mut aig, bound));
-        }
-        let mut sys = TransitionSystem::new("many", aig);
-        for (i, g) in goods.into_iter().enumerate() {
-            sys.add_property(format!("p{i}"), g);
-        }
-        sys
-    }
 
     #[test]
     fn dispatcher_hands_out_every_job_exactly_once() {
@@ -268,24 +202,6 @@ mod tests {
             got.push(j);
         }
         assert_eq!(got.len(), 10, "thief alone drains the victim queue");
-    }
-
-    #[test]
-    fn modes_agree_on_verdicts() {
-        let sys = many_counters(12);
-        let a = parallel_ja_verify_with(
-            &sys,
-            3,
-            &SeparateOptions::local(),
-            ParallelMode::Incremental,
-        );
-        let b = parallel_ja_verify_with(&sys, 3, &SeparateOptions::local(), ParallelMode::ColdFifo);
-        assert!(b.method.contains("cold-fifo"), "{}", b.method);
-        for (x, y) in a.results.iter().zip(&b.results) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.holds(), y.holds(), "{}", x.name);
-            assert_eq!(x.fails(), y.fails(), "{}", x.name);
-        }
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //!   for the separate/parallel modes, affinity clusters for the
 //!   clustered mode, one aggregate unit for the joint mode), consult
 //!   the [`VerdictCache`] so unchanged-cone properties skip solving,
-//!   and weigh units with the [`CostModel`] (learned schedule) or the
-//!   COI-size proxy;
+//!   and weigh units by the COI-size proxy;
 //! * **Dispatch** — hand units to workers: hardest-first work-stealing
-//!   deques ([`Dispatcher`]), the cold FIFO ticket baseline, or a
-//!   plain in-order walk for the sequential drivers;
+//!   deques ([`Dispatcher`]), or a plain in-order walk for the
+//!   sequential drivers;
 //! * **Solve** — run each unit on a warm [`CtxPool`] with clause
 //!   re-use wired through [`ClauseDb`]/[`TwoLevelSource`];
 //! * **Report** — restore the caller-visible result order, write fresh
@@ -33,9 +32,8 @@
 //! threads the *deal* is deterministic and only the steal timing
 //! varies, which affects speed, never verdicts.
 
-use crate::affinity::affinity_clusters_with_cost;
+use crate::affinity::affinity_clusters_with;
 use crate::cluster::latch_supports;
-use crate::costmodel::CostModel;
 use crate::joint::{aggregate_system, falsified_by_replay};
 use crate::parallel::Dispatcher;
 use crate::separate::{check_one, check_one_imports, local_assumptions, CtxPool};
@@ -53,68 +51,17 @@ use japrove_obs::{EventKind, Journal, Phase};
 use japrove_sat::{BackendChoice, Budget};
 use japrove_tsys::{complete_trace, replay, CoiMap, PropertyId, TransitionSystem};
 use std::collections::{HashMap, HashSet};
-use std::fmt;
-use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// How the planner orders units and the dispatcher hands them out.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchedulePolicy {
-    /// Hardest-first by the COI-size proxy, work-stealing dispatch,
-    /// warm solvers. The default.
-    #[default]
-    Steal,
-    /// Declaration-order FIFO ticket dispatch with cold per-property
-    /// solvers: the pre-incremental reference baseline.
-    Fifo,
-    /// Hardest-first by the [`CostModel`]'s recorded-cost prediction;
-    /// properties without a record fall back to the COI-size proxy.
-    /// Work-stealing dispatch, warm solvers.
-    Learned,
-}
-
-impl SchedulePolicy {
-    /// Short identifier, matching the CLI `--schedule` values.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulePolicy::Steal => "steal",
-            SchedulePolicy::Fifo => "fifo",
-            SchedulePolicy::Learned => "learned",
-        }
-    }
-}
-
-impl fmt::Display for SchedulePolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for SchedulePolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "steal" => Ok(SchedulePolicy::Steal),
-            "fifo" => Ok(SchedulePolicy::Fifo),
-            "learned" => Ok(SchedulePolicy::Learned),
-            other => Err(format!(
-                "unknown schedule '{other}' (available: steal, fifo, learned)"
-            )),
-        }
-    }
-}
 
 /// One schedulable unit of work: a singleton property or a cluster.
 #[derive(Clone, Debug)]
 pub struct PlanUnit {
     /// The unit's properties (one for singleton units).
     pub members: Vec<PropertyId>,
-    /// Estimated cost, used for hardest-first ordering: the cost
-    /// model's prediction under the learned schedule, the latch-support
-    /// size proxy otherwise. Cluster weights sum their members.
+    /// Estimated cost, used for hardest-first ordering: the
+    /// latch-support size proxy, normalized against the design's
+    /// largest support. Cluster weights sum their members.
     pub weight: f64,
 }
 
@@ -180,8 +127,6 @@ enum SessionKind {
 pub struct Session {
     kind: SessionKind,
     threads: usize,
-    schedule: SchedulePolicy,
-    cost_model: Option<CostModel>,
     cache: Option<VerdictCache>,
     enumeration: Option<crate::EnumOptions>,
 }
@@ -190,12 +135,13 @@ impl Session {
     /// Sequential separate verification (JA under [`Scope::Local`],
     /// the separate-global baseline under [`Scope::Global`]).
     /// Properties are processed in declaration (or `order`-override)
-    /// order; the schedule policy does not reorder this kind.
+    /// order; this kind is never reordered.
     pub fn separate(opts: SeparateOptions) -> Session {
         Session::new(SessionKind::Separate(opts), 1)
     }
 
-    /// Parallel separate verification with `threads` workers.
+    /// Parallel separate verification with `threads` workers,
+    /// dispatched hardest-first with work stealing.
     pub fn parallel(opts: SeparateOptions, threads: usize) -> Session {
         Session::new(SessionKind::Parallel(opts), threads)
     }
@@ -215,8 +161,6 @@ impl Session {
         Session {
             kind,
             threads,
-            schedule: SchedulePolicy::default(),
-            cost_model: None,
             cache: None,
             enumeration: None,
         }
@@ -228,19 +172,6 @@ impl Session {
     /// outcomes land in [`MultiReport::enumerations`].
     pub fn enumeration(mut self, opts: crate::EnumOptions) -> Session {
         self.enumeration = Some(opts);
-        self
-    }
-
-    /// Sets the schedule policy (parallel and clustered kinds).
-    pub fn schedule(mut self, policy: SchedulePolicy) -> Session {
-        self.schedule = policy;
-        self
-    }
-
-    /// Attaches a cost model for the learned schedule and the affinity
-    /// graph's cost signal.
-    pub fn cost_model(mut self, model: CostModel) -> Session {
-        self.cost_model = Some(model);
         self
     }
 
@@ -299,30 +230,6 @@ impl Session {
         }
     }
 
-    /// The weight of one property: the learned prediction when the
-    /// schedule and model provide one, the COI-size proxy otherwise.
-    /// Both are normalized against the design's own maxima, so warm and
-    /// cold properties stay comparable within one plan.
-    fn property_weight(
-        &self,
-        sys: &TransitionSystem,
-        p: PropertyId,
-        supports: &[Vec<usize>],
-        max_support: usize,
-    ) -> f64 {
-        let proxy = if max_support == 0 {
-            0.0
-        } else {
-            supports[p.index()].len() as f64 / max_support as f64
-        };
-        if self.schedule == SchedulePolicy::Learned {
-            if let Some(model) = &self.cost_model {
-                return model.predicted(&sys.property(p).name).unwrap_or(proxy);
-            }
-        }
-        proxy
-    }
-
     /// The Plan stage: verdict-cache consultation, unit formation
     /// (singletons, clusters or one aggregate) and hardest-first
     /// ordering. Public so callers can inspect the dispatch order
@@ -344,14 +251,18 @@ impl Session {
             }
         }
 
+        // The COI-size proxy: a larger latch support means a deeper
+        // proof. Normalized against the design's largest support.
         let supports = latch_supports(sys);
         let max_support = supports.iter().map(Vec::len).max().unwrap_or(0);
-        let weigh = |members: &[PropertyId]| -> f64 {
-            members
-                .iter()
-                .map(|&p| self.property_weight(sys, p, &supports, max_support))
-                .sum()
+        let proxy = |p: &PropertyId| {
+            if max_support == 0 {
+                0.0
+            } else {
+                supports[p.index()].len() as f64 / max_support as f64
+            }
         };
+        let weigh = |members: &[PropertyId]| -> f64 { members.iter().map(proxy).sum() };
 
         let mut units: Vec<PlanUnit> = match &self.kind {
             SessionKind::Separate(_) | SessionKind::Parallel(_) => order
@@ -375,13 +286,12 @@ impl Session {
             SessionKind::Clustered(o) => {
                 let clusters = {
                     let _probe_span = self.journal().span(Phase::AffinityProbe);
-                    affinity_clusters_with_cost(
+                    affinity_clusters_with(
                         sys,
                         o.metric,
                         o.max_group_size,
                         o.min_affinity,
                         o.separate.backend,
-                        self.cost_model.as_ref(),
                     )
                 };
                 clusters
@@ -402,14 +312,11 @@ impl Session {
         // Hardest-first ordering for the dispatching kinds. The
         // sequential separate kind keeps the caller's order (the
         // paper's "properties are verified in the order they are
-        // given"), the FIFO baseline keeps declaration order by
-        // definition, and the joint kind has a single unit.
-        let sorts = match &self.kind {
-            SessionKind::Parallel(_) => self.schedule != SchedulePolicy::Fifo,
-            SessionKind::Clustered(_) => true,
-            SessionKind::Separate(_) | SessionKind::Joint(_) => false,
-        };
-        if sorts {
+        // given"), and the joint kind has a single unit.
+        if matches!(
+            self.kind,
+            SessionKind::Parallel(_) | SessionKind::Clustered(_)
+        ) {
             order_units(&mut units);
         }
         Plan {
@@ -425,9 +332,7 @@ impl Session {
         let plan = self.plan(sys);
         let mut report = match &self.kind {
             SessionKind::Separate(opts) => run_separate(sys, opts, &plan),
-            SessionKind::Parallel(opts) => {
-                run_parallel(sys, self.threads, opts, self.schedule, &plan)
-            }
+            SessionKind::Parallel(opts) => run_parallel(sys, self.threads, opts, &plan),
             SessionKind::Joint(opts) => {
                 let members = plan
                     .units
@@ -516,8 +421,7 @@ impl Session {
                     CtxPool::new(sys)
                 };
                 pool.set_journal(opts.journal.clone());
-                let mut result =
-                    check_one(sys, id, &assumed, &db, &opts, deadline, &mut pool, true);
+                let mut result = check_one(sys, id, &assumed, &db, &opts, deadline, &mut pool);
                 result.retried = true;
                 let settled = !needs_retry(&result);
                 report.results[i] = result;
@@ -626,7 +530,7 @@ fn run_separate(sys: &TransitionSystem, opts: &SeparateOptions, plan: &Plan) -> 
             report.results.push(budget_expired(sys, id, opts));
             continue;
         }
-        let result = check_one(sys, id, &assumed, &db, opts, deadline, &mut pool, true);
+        let result = check_one(sys, id, &assumed, &db, opts, deadline, &mut pool);
         publish_if_proved(&db, opts, &result);
         report.results.push(result);
     }
@@ -641,8 +545,10 @@ fn publish_if_proved(db: &ClauseDb, opts: &SeparateOptions, result: &PropertyRes
     }
 }
 
-/// The parallel separate driver. Results are restored to caller-order
-/// slots, so verdict comparisons with the sequential driver line up.
+/// The parallel separate driver: one shared encoding, warm per-worker
+/// solver pools, jobs dealt hardest-first into the work-stealing
+/// [`Dispatcher`]. Results are restored to caller-order slots, so
+/// verdict comparisons with the sequential driver line up.
 ///
 /// # Panics
 ///
@@ -651,7 +557,6 @@ fn run_parallel(
     sys: &TransitionSystem,
     threads: usize,
     opts: &SeparateOptions,
-    schedule: SchedulePolicy,
     plan: &Plan,
 ) -> MultiReport {
     assert!(threads > 0, "need at least one worker thread");
@@ -678,28 +583,45 @@ fn run_parallel(
     // spawning zero workers is exactly right.
     let workers = threads.min(jobs.len());
 
-    let finished = match schedule {
-        SchedulePolicy::Fifo => {
-            run_cold_fifo(sys, workers, opts, &assumed, order, &jobs, &db, deadline)
+    if workers > 0 {
+        // Encode once; every worker's pool shares this.
+        let enc = {
+            let _enc_span = opts.journal.span(Phase::Encode);
+            Arc::new(TsEncoding::new(sys))
+        };
+        let dispatcher = Dispatcher::new(&jobs, workers);
+        let finished = std::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            for w in 0..workers {
+                let dispatcher = &dispatcher;
+                let enc = Arc::clone(&enc);
+                let db = db.clone();
+                let assumed = &assumed;
+                handles.push(scope.spawn(move || {
+                    let mut pool = CtxPool::with_encoding(enc);
+                    pool.set_journal(opts.journal.clone());
+                    let mut mine = Vec::new();
+                    while let Some(i) = dispatcher.pop(w) {
+                        let result =
+                            check_one(sys, order[i], assumed, &db, opts, deadline, &mut pool);
+                        publish_if_proved(&db, opts, &result);
+                        mine.push((i, result));
+                    }
+                    mine
+                }));
+            }
+            join_workers(handles, &opts.journal)
+        });
+        for (i, result) in finished {
+            slots[i] = Some(result);
         }
-        SchedulePolicy::Steal | SchedulePolicy::Learned => {
-            run_incremental(sys, workers, opts, &assumed, order, &jobs, &db, deadline)
-        }
-    };
-    for (i, result) in finished {
-        slots[i] = Some(result);
     }
 
     let scope_label = match opts.scope {
         Scope::Local => "parallel-ja",
         Scope::Global => "parallel-separate-global",
     };
-    let mode_label = match schedule {
-        SchedulePolicy::Steal => "",
-        SchedulePolicy::Fifo => " [cold-fifo]",
-        SchedulePolicy::Learned => " [learned]",
-    };
-    let mut report = MultiReport::new(sys.name(), format!("{scope_label} x{threads}{mode_label}"));
+    let mut report = MultiReport::new(sys.name(), format!("{scope_label} x{threads}"));
     // A slot left empty means its worker died of an uncontained panic
     // before publishing the result; degrade to EngineFault rather than
     // aborting the whole run.
@@ -711,101 +633,6 @@ fn run_parallel(
         })
         .collect();
     report
-}
-
-/// Warm work-stealing execution: one shared encoding, warm per-worker
-/// solver pools, jobs dealt in plan order.
-#[allow(clippy::too_many_arguments)]
-fn run_incremental(
-    sys: &TransitionSystem,
-    workers: usize,
-    opts: &SeparateOptions,
-    assumed: &[PropertyId],
-    order: &[PropertyId],
-    jobs: &[usize],
-    db: &ClauseDb,
-    deadline: Option<Instant>,
-) -> Vec<(usize, PropertyResult)> {
-    if workers == 0 {
-        return Vec::new();
-    }
-    // Encode once; every worker's pool shares this.
-    let enc = {
-        let _enc_span = opts.journal.span(Phase::Encode);
-        Arc::new(TsEncoding::new(sys))
-    };
-    let dispatcher = Dispatcher::new(jobs, workers);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let dispatcher = &dispatcher;
-            let enc = Arc::clone(&enc);
-            let db = db.clone();
-            handles.push(scope.spawn(move || {
-                let mut pool = CtxPool::with_encoding(enc);
-                pool.set_journal(opts.journal.clone());
-                let mut mine = Vec::new();
-                while let Some(i) = dispatcher.pop(w) {
-                    let result =
-                        check_one(sys, order[i], assumed, &db, opts, deadline, &mut pool, true);
-                    publish_if_proved(&db, opts, &result);
-                    mine.push((i, result));
-                }
-                mine
-            }));
-        }
-        join_workers(handles, &opts.journal)
-    })
-}
-
-/// The pre-incremental reference baseline: FIFO ticket dispatch, fresh
-/// encoding and solvers per property, no mid-run clause refresh.
-#[allow(clippy::too_many_arguments)]
-fn run_cold_fifo(
-    sys: &TransitionSystem,
-    workers: usize,
-    opts: &SeparateOptions,
-    assumed: &[PropertyId],
-    order: &[PropertyId],
-    jobs: &[usize],
-    db: &ClauseDb,
-    deadline: Option<Instant>,
-) -> Vec<(usize, PropertyResult)> {
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..workers {
-            let next = &next;
-            let db = db.clone();
-            handles.push(scope.spawn(move || {
-                let mut mine = Vec::new();
-                loop {
-                    // A pure ticket counter: each worker only consumes
-                    // the index it drew, and no other memory is
-                    // published through the counter, so `Relaxed` is
-                    // sound — `fetch_add` is still atomic, every index
-                    // is handed out exactly once.
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= jobs.len() {
-                        return mine;
-                    }
-                    let i = jobs[t];
-                    // A cold pool per property: re-encode, fresh
-                    // solvers, no mid-run refresh — faithful to the
-                    // pre-incremental driver this mode benchmarks.
-                    let mut pool = CtxPool::new(sys);
-                    pool.set_journal(opts.journal.clone());
-                    let result = check_one(
-                        sys, order[i], assumed, &db, opts, deadline, &mut pool, false,
-                    );
-                    publish_if_proved(&db, opts, &result);
-                    mine.push((i, result));
-                }
-            }));
-        }
-        join_workers(handles, &opts.journal)
-    })
 }
 
 /// The Jnt-ver loop (§9): verify the aggregate property over `members`,
@@ -1573,22 +1400,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_names_round_trip() {
-        for p in [
-            SchedulePolicy::Steal,
-            SchedulePolicy::Fifo,
-            SchedulePolicy::Learned,
-        ] {
-            assert_eq!(p.name().parse::<SchedulePolicy>(), Ok(p));
-        }
-        let err = "lifo".parse::<SchedulePolicy>().unwrap_err();
-        assert!(
-            err.contains("steal") && err.contains("fifo") && err.contains("learned"),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn order_units_is_stable_on_ties() {
         let unit = |i: usize, w: f64| PlanUnit {
             members: vec![PropertyId::new(i)],
@@ -1654,42 +1465,5 @@ mod tests {
         let report = session.run(&sys);
         assert!(report.results.iter().all(|r| !r.cached));
         assert!(session.take_verdict_cache().unwrap().is_empty());
-    }
-
-    #[test]
-    fn learned_plan_reorders_by_recorded_cost() {
-        use japrove_obs::{FeatureStore, RunRecord};
-        let sys = two_counter_sys();
-        let design = format!("{:016x}", sys.structural_hash());
-        // All four cones are the same size, so the proxy keeps
-        // declaration order; the store says property 3 dwarfs the rest.
-        let mut store = FeatureStore::default();
-        for (name, time) in [
-            ("c0_ok", 10),
-            ("c0_tight", 10),
-            ("c1_ok", 10),
-            ("c1_tight", 9000),
-        ] {
-            store.upsert(RunRecord {
-                design: design.clone(),
-                property: name.into(),
-                mode: "parallel".into(),
-                verdict: "holds".into(),
-                time_us: time,
-                frames: 1,
-                conflicts: time,
-                decisions: time,
-                propagations: 0,
-                restarts: 0,
-            });
-        }
-        let model = CostModel::from_store(&store, &sys);
-        let proxy = Session::parallel(SeparateOptions::global(), 1).plan(&sys);
-        let learned = Session::parallel(SeparateOptions::global(), 1)
-            .schedule(SchedulePolicy::Learned)
-            .cost_model(model)
-            .plan(&sys);
-        assert_eq!(learned.dispatch_order()[0], PropertyId::new(3));
-        assert_ne!(proxy.dispatch_order(), learned.dispatch_order());
     }
 }

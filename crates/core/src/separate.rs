@@ -255,14 +255,6 @@ pub fn local_assumptions(sys: &TransitionSystem) -> Vec<PropertyId> {
 /// Checks one property in the given context, handling the spurious-
 /// counterexample retry of §7-A. Used by both the sequential and the
 /// parallel drivers.
-///
-/// `pool` and `refresh` must be paired consistently: the incremental
-/// drivers pass a long-lived pool with `refresh = true` (warm solvers
-/// plus mid-run clause refresh from `db`), while the cold baseline
-/// driver passes a *fresh* pool with `refresh = false` so the
-/// measurement stays faithful to the pre-incremental behaviour. Mixing
-/// the pairs compiles fine but benchmarks a hybrid that is neither.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn check_one(
     sys: &TransitionSystem,
     id: PropertyId,
@@ -271,7 +263,6 @@ pub(crate) fn check_one(
     opts: &SeparateOptions,
     deadline: Option<Instant>,
     pool: &mut CtxPool,
-    refresh: bool,
 ) -> PropertyResult {
     // The version is read *before* the snapshot: clauses published in
     // between are both in the snapshot and re-offered by the first
@@ -284,9 +275,7 @@ pub(crate) fn check_one(
     };
     // With re-use on, the engine can also poll the store mid-run, so a
     // long proof sees clauses published after its snapshot was taken.
-    // The cold baseline driver disables this to stay faithful to the
-    // pre-incremental behaviour it benchmarks against.
-    let source: Option<(&dyn ClauseSource, u64)> = if opts.reuse && refresh {
+    let source: Option<(&dyn ClauseSource, u64)> = if opts.reuse {
         Some((db, db_version))
     } else {
         None
@@ -437,16 +426,7 @@ pub fn check_one_property(
     opts: &SeparateOptions,
     deadline: Option<Instant>,
 ) -> PropertyResult {
-    check_one(
-        sys,
-        id,
-        assumed,
-        db,
-        opts,
-        deadline,
-        &mut CtxPool::new(sys),
-        true,
-    )
+    check_one(sys, id, assumed, db, opts, deadline, &mut CtxPool::new(sys))
 }
 
 /// Runs separate verification over all properties.

@@ -57,7 +57,8 @@ pub enum Phase {
     /// The whole verification run (the root span).
     Run,
     /// The planning stage of the scheduling pipeline: verdict-cache
-    /// consultation, clustering and cost-model unit ordering.
+    /// consultation, clustering and hardest-first unit ordering by
+    /// COI size.
     Plan,
     /// Building the shared CNF encoding of the design.
     Encode,

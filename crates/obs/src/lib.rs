@@ -14,8 +14,8 @@
 //! * [`metrics`] — aggregates a journal into the `--metrics`
 //!   phase-breakdown table.
 //! * [`FeatureStore`] / [`RunRecord`] — persistent per-(design,
-//!   property) cost records across runs: the substrate for learned
-//!   scheduling.
+//!   property) cost records across runs: an observability record of
+//!   what each property cost to verify.
 //! * [`fault`] — the deterministic fault-injection harness: a seeded
 //!   [`FaultPlan`](fault::FaultPlan) injects panics, delays and torn
 //!   store writes at named sites, so chaos behavior reproduces in

@@ -1,13 +1,12 @@
 //! The persistent feature store: per-(design, property) cost records
 //! accumulated across runs.
 //!
-//! This is the explicit substrate for the learned-scheduling ROADMAP
-//! item: a scheduler that wants to order or cluster properties by
-//! *observed* cost reads the [`RunRecord`]s of earlier runs instead of
-//! guessing from COI size. Records are keyed by the design's
-//! structural hash (so renamed files with identical logic share
-//! history) plus the property name, and stored as JSONL so stores
-//! diff, merge and grep cleanly.
+//! It is an observability record: it answers what each property
+//! *observably* cost (time and SAT effort) in earlier runs, so slow
+//! properties can be compared across runs and revisions. Records are
+//! keyed by the design's structural hash (so renamed files with
+//! identical logic share history) plus the property name, and stored
+//! as JSONL so stores diff, merge and grep cleanly.
 
 use crate::json::Value;
 use crate::persist;
@@ -194,7 +193,7 @@ impl FeatureStore {
     /// whose verdict is not one of `holds`/`fails`/`unknown`. Returns
     /// the store together with the number of skipped lines, so callers
     /// can surface a counted warning — a half-corrupted store from a
-    /// crashed run must never take the scheduler down with it.
+    /// crashed run must never take the next run down with it.
     pub fn load_lossy(path: impl AsRef<Path>) -> Result<(FeatureStore, usize), StoreError> {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
@@ -232,9 +231,8 @@ impl FeatureStore {
         }
     }
 
-    /// The most recent record for `(design, property)` in any mode
-    /// (the one a scheduler typically wants), preferring exact-mode
-    /// lookups via [`FeatureStore::records`] when it matters.
+    /// The most recent record for `(design, property)` in any mode;
+    /// use [`FeatureStore::records`] for exact-mode lookups.
     pub fn get(&self, design: &str, property: &str) -> Option<&RunRecord> {
         self.records
             .iter()
@@ -247,7 +245,7 @@ impl FeatureStore {
     }
 
     /// Every record for one design (by structural-hash hex key), in
-    /// insertion order — the query a cost model starts from. Because
+    /// insertion order. Because
     /// records are keyed by [`japrove's structural hash`](RunRecord::design)
     /// rather than the file name, a renamed-but-identical design still
     /// finds its history.

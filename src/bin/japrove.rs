@@ -8,8 +8,8 @@
 
 use japrove::core::{
     enumerate_report, grouped_verify, local_assumptions, mine_verify, validate_debugging_set,
-    AffinityMetric, ClusteredOptions, CostModel, EnumOptions, GroupingOptions, JointOptions,
-    MultiReport, Projection, SchedulePolicy, SeparateOptions, Session, VerdictCache,
+    AffinityMetric, ClusteredOptions, EnumOptions, GroupingOptions, JointOptions, MultiReport,
+    Projection, SeparateOptions, Session, VerdictCache,
 };
 use japrove::ic3::Lifting;
 use japrove::mine::MineOptions;
@@ -36,10 +36,6 @@ OPTIONS:
                               [default: hybrid]
     --threads <N>             workers for the parallel and clustered
                               modes [default: 2]
-    --schedule <steal|fifo|learned>
-                              parallel dispatch: incremental work-stealing,
-                              the cold FIFO baseline, or stealing over a
-                              cost-model dispatch order [default: steal]
     --backend <cdcl|chrono>   SAT backend for every engine run
                               [default: cdcl]
     --per-property <SECS>     time limit per property
@@ -82,9 +78,6 @@ OPTIONS:
                               stats) as JSON
     --feature-store <FILE>    merge per-property cost records into a
                               persistent JSONL feature store
-    --cost-model <FILE>       feature store to read per-property cost
-                              predictions from (defaults to the
-                              --feature-store file when given)
     --verdict-cache <FILE>    read/write a verdict cache keyed by
                               (cone structural hash, property); warm
                               hits re-certify the stored evidence
@@ -126,7 +119,6 @@ struct Cli {
     mode: String,
     affinity: AffinityMetric,
     threads: usize,
-    schedule: SchedulePolicy,
     backend: BackendChoice,
     per_property: Option<Duration>,
     total: Option<Duration>,
@@ -140,7 +132,6 @@ struct Cli {
     metrics: bool,
     json_out: Option<String>,
     feature_store: Option<String>,
-    cost_model: Option<String>,
     verdict_cache: Option<String>,
     check_trace: Option<String>,
     witness_dir: Option<String>,
@@ -161,7 +152,6 @@ fn parse_args() -> Result<Cli, String> {
         mode: "ja".into(),
         affinity: AffinityMetric::default(),
         threads: 2,
-        schedule: SchedulePolicy::Steal,
         backend: BackendChoice::default(),
         per_property: None,
         total: None,
@@ -175,7 +165,6 @@ fn parse_args() -> Result<Cli, String> {
         metrics: false,
         json_out: None,
         feature_store: None,
-        cost_model: None,
         verdict_cache: None,
         check_trace: None,
         witness_dir: None,
@@ -203,30 +192,20 @@ fn parse_args() -> Result<Cli, String> {
                     .filter(|&n| n >= 1)
                     .ok_or_else(|| "invalid --threads (need an integer >= 1)".to_string())?
             }
-            "--schedule" => cli.schedule = value("--schedule")?.parse()?,
             "--per-property" => {
-                let secs: f64 = value("--per-property")?
-                    .parse()
-                    .map_err(|_| "invalid --per-property".to_string())?;
-                cli.per_property = Some(Duration::from_secs_f64(secs));
+                cli.per_property = Some(parse_secs(
+                    "--per-property",
+                    &value("--per-property")?,
+                    true,
+                )?)
             }
-            "--total" => {
-                let secs: f64 = value("--total")?
-                    .parse()
-                    .map_err(|_| "invalid --total".to_string())?;
-                cli.total = Some(Duration::from_secs_f64(secs));
-            }
+            "--total" => cli.total = Some(parse_secs("--total", &value("--total")?, true)?),
             "--property-timeout" => {
-                let secs: f64 = value("--property-timeout")?
-                    .parse()
-                    .ok()
-                    .filter(|&s: &f64| s > 0.0 && s.is_finite())
-                    .ok_or_else(|| {
-                        "invalid --property-timeout (need seconds as a positive number, \
-                         e.g. --property-timeout 2.5)"
-                            .to_string()
-                    })?;
-                cli.property_timeout = Some(Duration::from_secs_f64(secs));
+                cli.property_timeout = Some(parse_secs(
+                    "--property-timeout",
+                    &value("--property-timeout")?,
+                    false,
+                )?)
             }
             "--retries" => {
                 cli.retries = Some(value("--retries")?.parse().map_err(|_| {
@@ -271,7 +250,6 @@ fn parse_args() -> Result<Cli, String> {
             "--metrics" => cli.metrics = true,
             "--json" => cli.json_out = Some(value("--json")?),
             "--feature-store" => cli.feature_store = Some(value("--feature-store")?),
-            "--cost-model" => cli.cost_model = Some(value("--cost-model")?),
             "--verdict-cache" => cli.verdict_cache = Some(value("--verdict-cache")?),
             "--check-trace" => cli.check_trace = Some(value("--check-trace")?),
             "--witness-dir" => cli.witness_dir = Some(value("--witness-dir")?),
@@ -304,6 +282,25 @@ fn parse_args() -> Result<Cli, String> {
         return Err("--mine-depth only makes sense with --mine".into());
     }
     Ok(cli)
+}
+
+/// Parses the `<SECS>` value of a time flag into a `Duration`. NaN,
+/// infinities, negative values and values too large for a `Duration`
+/// are errors naming the flag; zero is an error unless `allow_zero`.
+fn parse_secs(flag: &str, value: &str, allow_zero: bool) -> Result<Duration, String> {
+    value
+        .parse::<f64>()
+        .ok()
+        .filter(|&s| allow_zero || s > 0.0)
+        .and_then(|s| Duration::try_from_secs_f64(s).ok())
+        .ok_or_else(|| {
+            let need = if allow_zero {
+                "non-negative"
+            } else {
+                "positive"
+            };
+            format!("invalid {flag} '{value}' (need seconds as a {need} number, e.g. {flag} 2.5)")
+        })
 }
 
 /// The enumeration options implied by the flags, or `None` when
@@ -373,20 +370,6 @@ fn run(cli: &Cli, journal: &Journal) -> Result<(MultiReport, TransitionSystem), 
         opts
     };
 
-    // The cost model reads from --cost-model when given, else from the
-    // --feature-store file, so a store that is being written warms the
-    // very next run without extra flags.
-    let model_store = match cli.cost_model.as_ref().or(cli.feature_store.as_ref()) {
-        Some(path) => {
-            let (store, skipped) = FeatureStore::load_lossy(path)
-                .map_err(|e| format!("cannot read feature store {path}: {e}"))?;
-            if skipped > 0 {
-                eprintln!("warning: feature store {path}: skipped {skipped} malformed records");
-            }
-            Some(store)
-        }
-        None => None,
-    };
     let mut cache_slot = match &cli.verdict_cache {
         Some(path) => {
             let (cache, skipped) = VerdictCache::load_lossy(path)
@@ -402,7 +385,7 @@ fn run(cli: &Cli, journal: &Journal) -> Result<(MultiReport, TransitionSystem), 
     let _run_span = journal.span_labeled(Phase::Run, cli.mode.as_str());
     // Every Session-backed mode funnels through one closure so the mine
     // path (which verifies the *mined* system) shares the exact same
-    // wiring: the cost model keys off whichever system is verified.
+    // wiring.
     let enum_opts = enum_options(cli, journal);
     let mut verify = |sys: &TransitionSystem| match cli.mode.as_str() {
         "grouped" => {
@@ -427,15 +410,10 @@ fn run(cli: &Cli, journal: &Journal) -> Result<(MultiReport, TransitionSystem), 
                         .journal(journal.clone());
                     Session::clustered(opts, cli.threads)
                 }
-                "parallel" => Session::parallel(sep.clone(), cli.threads).schedule(cli.schedule),
-                "parallel-global" => {
-                    Session::parallel(global(sep.clone()), cli.threads).schedule(cli.schedule)
-                }
+                "parallel" => Session::parallel(sep.clone(), cli.threads),
+                "parallel-global" => Session::parallel(global(sep.clone()), cli.threads),
                 other => unreachable!("mode '{other}' slipped past validation"),
             };
-            if let Some(store) = &model_store {
-                session = session.cost_model(CostModel::from_store(store, sys));
-            }
             if let Some(cache) = cache_slot.take() {
                 session = session.verdict_cache(cache);
             }
@@ -478,7 +456,7 @@ fn run(cli: &Cli, journal: &Journal) -> Result<(MultiReport, TransitionSystem), 
                 .save(path)
                 .map_err(|e| format!("cannot write verdict cache {path}: {e}"))?;
             let hits = report.results.iter().filter(|r| r.cached).count();
-            // Deterministic line the CI schedule-smoke job greps.
+            // Deterministic line the CI verdict-cache-smoke job greps.
             println!("verdict cache {path}: {hits} hits, {} entries", cache.len());
         }
     }
@@ -636,8 +614,8 @@ fn update_feature_store(
         eprintln!("warning: feature store {path}: skipped {skipped} malformed records");
     }
     let design = format!("{:016x}", sys.structural_hash());
-    // Cache hits cost ~no solver time; recording them would teach the
-    // cost model that the property is free. Only fresh runs train it.
+    // Cache hits cost ~no solver time; recording them would claim the
+    // property is free. Only fresh runs are recorded.
     for r in report.results.iter().filter(|r| !r.cached) {
         let verdict = if r.holds() {
             "holds"

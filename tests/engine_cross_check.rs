@@ -3,8 +3,8 @@
 //! counterexample must replay, and every certificate must re-verify.
 
 use japrove::core::{
-    clustered_verify, ja_verify, parallel_clustered_verify, parallel_ja_verify_with,
-    separate_verify, AffinityMetric, ClusteredOptions, JointOptions, ParallelMode, SeparateOptions,
+    clustered_verify, ja_verify, parallel_clustered_verify, parallel_ja_verify, separate_verify,
+    AffinityMetric, ClusteredOptions, JointOptions, SeparateOptions,
 };
 use japrove::genbench::FamilyParams;
 use japrove::ic3::{verify_certificate, Bmc, BmcResult, CheckOutcome, Ic3, Ic3Options};
@@ -187,36 +187,34 @@ fn driver_verdicts_are_backend_independent() {
 fn parallel_verdicts_match_sequential_under_stress() {
     // The work-stealing driver must be verdict-deterministic: for every
     // generated design, every thread count and both re-use settings,
-    // `parallel_ja_verify` agrees with the sequential `ja_verify` —
-    // and so does the cold/FIFO reference mode. Scheduling order and
-    // clause exchange may differ run to run; verdicts may not.
+    // `parallel_ja_verify` agrees with the sequential `ja_verify`.
+    // Scheduling order and clause exchange may differ run to run;
+    // verdicts may not.
     for design in random_designs() {
         let sys = &design.sys;
         for reuse in [true, false] {
             let opts = SeparateOptions::local().reuse(reuse);
             let seq = ja_verify(sys, &opts);
             for threads in [1usize, 2, 8] {
-                for mode in [ParallelMode::Incremental, ParallelMode::ColdFifo] {
-                    let par = parallel_ja_verify_with(sys, threads, &opts, mode);
-                    assert_eq!(seq.results.len(), par.results.len());
-                    for (a, b) in seq.results.iter().zip(&par.results) {
-                        assert_eq!(a.id, b.id);
-                        assert_eq!(a.scope, b.scope);
-                        assert_eq!(
-                            a.holds(),
-                            b.holds(),
-                            "{}/{}: reuse={reuse} threads={threads} mode={mode:?}",
-                            sys.name(),
-                            a.name
-                        );
-                        assert_eq!(
-                            a.fails(),
-                            b.fails(),
-                            "{}/{}: reuse={reuse} threads={threads} mode={mode:?}",
-                            sys.name(),
-                            a.name
-                        );
-                    }
+                let par = parallel_ja_verify(sys, threads, &opts);
+                assert_eq!(seq.results.len(), par.results.len());
+                for (a, b) in seq.results.iter().zip(&par.results) {
+                    assert_eq!(a.id, b.id);
+                    assert_eq!(a.scope, b.scope);
+                    assert_eq!(
+                        a.holds(),
+                        b.holds(),
+                        "{}/{}: reuse={reuse} threads={threads}",
+                        sys.name(),
+                        a.name
+                    );
+                    assert_eq!(
+                        a.fails(),
+                        b.fails(),
+                        "{}/{}: reuse={reuse} threads={threads}",
+                        sys.name(),
+                        a.name
+                    );
                 }
             }
         }

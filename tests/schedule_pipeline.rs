@@ -1,140 +1,10 @@
-//! The learned scheduling pipeline, end to end: a feature store from a
-//! first run must (a) never change verdicts, only order; (b) actually
-//! reorder dispatch when the recorded costs disagree with the COI-size
-//! proxy; and (c) let a verdict cache skip exactly the properties whose
-//! cones did not change across a design edit.
+//! The verdict cache across a design edit: a warm cache must let a
+//! rerun skip exactly the properties whose cones did not change, with
+//! identical verdicts.
 
 use japrove::aig::Aig;
-use japrove::core::{
-    CostModel, MultiReport, SchedulePolicy, SeparateOptions, Session, VerdictCache,
-};
-use japrove::genbench::FamilyParams;
-use japrove::obs::{FeatureStore, RunRecord};
+use japrove::core::{SeparateOptions, Session, VerdictCache};
 use japrove::tsys::{TransitionSystem, Word};
-
-/// A mixed family: deep chains, a ring and trivial properties, so COI
-/// sizes differ and the proxy order is non-trivial.
-fn mixed_design() -> TransitionSystem {
-    FamilyParams::new("sched_mix", 77)
-        .chain(2, 10)
-        .ring(4, 4)
-        .easy_true(3)
-        .generate()
-        .sys
-}
-
-/// Records every result of `report` into a store under `design`'s
-/// structural hash, as the CLI's `--feature-store` path would.
-fn store_from(sys: &TransitionSystem, report: &MultiReport) -> FeatureStore {
-    let design = format!("{:016x}", sys.structural_hash());
-    let mut store = FeatureStore::default();
-    for r in &report.results {
-        let verdict = if r.holds() {
-            "holds"
-        } else if r.fails() {
-            "fails"
-        } else {
-            "unknown"
-        };
-        store.upsert(RunRecord {
-            design: design.clone(),
-            property: r.name.clone(),
-            mode: "separate-global".into(),
-            verdict: verdict.into(),
-            time_us: r.time.as_micros() as u64,
-            frames: r.frames as u64,
-            conflicts: r.stats.sat.conflicts,
-            decisions: r.stats.sat.decisions,
-            propagations: r.stats.sat.propagations,
-            restarts: r.stats.sat.restarts,
-        });
-    }
-    store
-}
-
-fn assert_same_verdicts(a: &MultiReport, b: &MultiReport) {
-    assert_eq!(a.results.len(), b.results.len());
-    for r in &a.results {
-        let other = b
-            .result(r.id)
-            .unwrap_or_else(|| panic!("{} missing", r.name));
-        assert_eq!(r.holds(), other.holds(), "{}", r.name);
-        assert_eq!(r.fails(), other.fails(), "{}", r.name);
-    }
-}
-
-/// (a) A warm cost model reorders dispatch but never changes verdicts,
-/// at one worker and at eight.
-#[test]
-fn learned_schedule_preserves_verdicts_at_1_and_8_threads() {
-    let sys = mixed_design();
-    let seed_report = Session::separate(SeparateOptions::global()).run(&sys);
-    let store = store_from(&sys, &seed_report);
-
-    for threads in [1, 8] {
-        let proxy = Session::parallel(SeparateOptions::global(), threads).run(&sys);
-        let learned = Session::parallel(SeparateOptions::global(), threads)
-            .schedule(SchedulePolicy::Learned)
-            .cost_model(CostModel::from_store(&store, &sys))
-            .run(&sys);
-        assert!(learned.method.contains("[learned]"), "{}", learned.method);
-        assert_same_verdicts(&proxy, &learned);
-        assert_same_verdicts(&seed_report, &learned);
-    }
-}
-
-/// (b) When the store's recorded costs disagree with COI size, the
-/// learned plan diverges from the proxy plan and leads with the
-/// recorded-expensive property.
-#[test]
-fn learned_dispatch_order_follows_the_store_not_the_cone() {
-    let sys = mixed_design();
-    // The proxy ranks by cone size, so an `easy_true` property (a
-    // one-latch cone) goes last. Record it as the most expensive.
-    let expensive = sys
-        .property_ids()
-        .into_iter()
-        .find(|&p| sys.property(p).name.starts_with("easy_true"))
-        .expect("family has easy_true properties");
-    let design = format!("{:016x}", sys.structural_hash());
-    let mut store = FeatureStore::default();
-    for p in sys.property_ids() {
-        let cost = if p == expensive { 60_000_000 } else { 100 };
-        store.upsert(RunRecord {
-            design: design.clone(),
-            property: sys.property(p).name.clone(),
-            mode: "parallel-global".into(),
-            verdict: "holds".into(),
-            time_us: cost,
-            frames: 1,
-            conflicts: cost,
-            decisions: cost,
-            propagations: 0,
-            restarts: 0,
-        });
-    }
-
-    let proxy = Session::parallel(SeparateOptions::global(), 1).plan(&sys);
-    let learned = Session::parallel(SeparateOptions::global(), 1)
-        .schedule(SchedulePolicy::Learned)
-        .cost_model(CostModel::from_store(&store, &sys))
-        .plan(&sys);
-    assert_ne!(
-        proxy.dispatch_order(),
-        learned.dispatch_order(),
-        "a store that contradicts the proxy must change the plan"
-    );
-    assert_eq!(
-        learned.dispatch_order().first().copied(),
-        Some(expensive),
-        "the recorded-expensive property dispatches first"
-    );
-    assert_ne!(
-        proxy.dispatch_order().first().copied(),
-        Some(expensive),
-        "the proxy would not have put the tiny cone first"
-    );
-}
 
 /// Two independent 3-bit counters; `bump1` controls how far counter 1
 /// steps each cycle, so changing it edits counter 1's cone while
@@ -163,7 +33,7 @@ fn two_counters(bump1: usize) -> TransitionSystem {
     sys
 }
 
-/// (c) After a design edit, a warm verdict cache re-solves exactly the
+/// After a design edit, a warm verdict cache re-solves exactly the
 /// properties whose cones changed and replays the rest from cache, with
 /// identical verdicts.
 #[test]

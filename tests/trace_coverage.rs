@@ -11,6 +11,18 @@ use japrove::genbench::FamilyParams;
 use japrove::obs::journal::parse_jsonl;
 use japrove::obs::metrics::{phase_breakdown, top_level_span_us};
 use japrove::obs::{Event, EventKind, Journal, Phase};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes this file's tests. The coverage bar compares span time
+/// with wall-clock time, so a sibling test competing for the CPUs
+/// stretches the untraced gaps between spans and can fail it.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes the file lock; a test that panicked while holding it leaves
+/// nothing to repair, so a poisoned lock is taken anyway.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn design() -> japrove::tsys::TransitionSystem {
     FamilyParams::new("trace_cov", 7)
@@ -37,6 +49,7 @@ fn phases(events: &[Event]) -> Vec<Phase> {
 /// does may escape tracing.
 #[test]
 fn clustered_spans_cover_wall_clock() {
+    let _serial = serial();
     let sys = design();
     let journal = Journal::new();
     let opts = ClusteredOptions::new()
@@ -82,6 +95,7 @@ fn clustered_spans_cover_wall_clock() {
 /// performs.
 #[test]
 fn emitted_traces_reparse_under_strict_schema() {
+    let _serial = serial();
     let sys = design();
     for mode in ["ja", "joint"] {
         let journal = Journal::new();
@@ -110,6 +124,7 @@ fn emitted_traces_reparse_under_strict_schema() {
 /// property's name.
 #[test]
 fn ja_run_emits_labelled_property_spans() {
+    let _serial = serial();
     let sys = design();
     let journal = Journal::new();
     ja_verify(&sys, &SeparateOptions::local().journal(journal.clone()));
