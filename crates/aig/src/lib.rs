@@ -10,7 +10,7 @@
 //! * [`CnfEncoder`] — incremental Tseitin encoding of AIG cones,
 //! * [`Simulator`] — 64-way bit-parallel simulation (used to replay
 //!   and validate counterexample traces),
-//! * [`Cone`] — combinational and sequential cone-of-influence.
+//! * [`Cone`] — sequential cone-of-influence.
 //!
 //! # Examples
 //!

@@ -1,39 +1,21 @@
 //! Affinity-based property clustering — the MPBMC direction.
 //!
-//! The §12 baseline ([`crate::cluster_properties`]) groups properties greedily on
-//! a single signal (Jaccard similarity of sequential latch cones).
-//! This module promotes clustering to a first-class citizen: it builds
-//! a property **affinity graph** from several structural and observed
-//! signals and clusters it by agglomerative (average-linkage) merging
+//! The §12 baseline ([`crate::cluster_properties`]) groups properties
+//! greedily, in declaration order, on the Jaccard similarity of their
+//! sequential latch cones. This module keeps that signal and replaces
+//! the greedy scan: it scores every property pair into an **affinity
+//! graph** and clusters it by agglomerative (average-linkage) merging
 //! under a group-size cap, the scheme of MPBMC-style multi-property
 //! engines (Guha Roy et al.).
 //!
-//! The signals, each normalized to `[0, 1]`:
-//!
-//! * **sequential-COI Jaccard** — overlap of the latch supports, the
-//!   baseline signal;
-//! * **COI-size ratio** — `min/max` of the sequential cone sizes, so a
-//!   tiny property is not merged into a giant one just because its
-//!   cone is a subset;
-//! * **shared-output structure** — Jaccard overlap of the
-//!   *combinational* cones of the property outputs
-//!   ([`japrove_aig::Cone::overlap`]): properties computed from the
-//!   same gates keep sharing reasoning even when their latch supports
-//!   barely differ;
-//! * **observed UNSAT-core overlap** — a shallow probing BMC pass
-//!   ([`japrove_ic3::Bmc::probe_core`]) records which latch *reset
-//!   bits* each property's refutations actually lean on; overlapping
-//!   cores are direct evidence that two proofs will share clauses.
-//!
-//! [`AffinityMetric::Jaccard`] uses the first signal alone (the
-//! baseline metric on the new clustering algorithm);
-//! [`AffinityMetric::Hybrid`] blends all four.
+//! The affinity of two properties is the Jaccard similarity of their
+//! latch supports ([`TransitionSystem::latch_support`]), in `[0, 1]`.
 //!
 //! # Examples
 //!
 //! ```
 //! use japrove_aig::Aig;
-//! use japrove_core::{affinity_clusters, AffinityMetric};
+//! use japrove_core::affinity_clusters;
 //! use japrove_tsys::{TransitionSystem, Word};
 //!
 //! // Two independent counters, two properties each: clustering must
@@ -51,90 +33,13 @@
 //! for (i, good) in sys_props.into_iter().enumerate() {
 //!     sys.add_property(format!("p{i}"), good);
 //! }
-//! for metric in [AffinityMetric::Jaccard, AffinityMetric::Hybrid] {
-//!     let clusters = affinity_clusters(&sys, metric, 16, 0.5);
-//!     assert_eq!(clusters.len(), 2);
-//!     assert_eq!(clusters[0].len(), 2);
-//! }
+//! let clusters = affinity_clusters(&sys, 16, 0.5);
+//! assert_eq!(clusters.len(), 2);
+//! assert_eq!(clusters[0].len(), 2);
 //! ```
 
-use crate::cluster::jaccard;
-use japrove_aig::Cone;
-use japrove_ic3::Bmc;
-use japrove_sat::{BackendChoice, Budget};
+use crate::cluster::{jaccard, latch_supports};
 use japrove_tsys::{PropertyId, TransitionSystem};
-use std::fmt;
-use std::str::FromStr;
-
-/// Which affinity signal(s) score a property pair.
-///
-/// # Examples
-///
-/// ```
-/// use japrove_core::AffinityMetric;
-/// assert_eq!("hybrid".parse(), Ok(AffinityMetric::Hybrid));
-/// assert_eq!(AffinityMetric::Jaccard.to_string(), "jaccard");
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum AffinityMetric {
-    /// Sequential-COI Jaccard only: the §12 baseline signal on the
-    /// agglomerative algorithm.
-    Jaccard,
-    /// All four signals blended (COI Jaccard, COI-size ratio,
-    /// shared-output structure, probed UNSAT-core overlap). The
-    /// default.
-    #[default]
-    Hybrid,
-}
-
-impl AffinityMetric {
-    /// Short identifier, matching the CLI `--affinity` values.
-    pub fn name(self) -> &'static str {
-        match self {
-            AffinityMetric::Jaccard => "jaccard",
-            AffinityMetric::Hybrid => "hybrid",
-        }
-    }
-}
-
-impl fmt::Display for AffinityMetric {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for AffinityMetric {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "jaccard" => Ok(AffinityMetric::Jaccard),
-            "hybrid" => Ok(AffinityMetric::Hybrid),
-            other => Err(format!(
-                "unknown affinity metric '{other}' (available: jaccard, hybrid)"
-            )),
-        }
-    }
-}
-
-/// Depth of the probing BMC pass behind the UNSAT-core signal. Shallow
-/// on purpose: the probe is a structural fingerprint, not a
-/// verification attempt, and deep queries would dominate clustering
-/// time.
-const PROBE_DEPTH: usize = 2;
-
-/// Conflict allowance per probe query; a query that runs dry simply
-/// contributes no core.
-const PROBE_CONFLICTS: u64 = 500;
-
-/// Hybrid blend weights: sequential-COI Jaccard, COI-size ratio,
-/// shared combinational structure, probed core overlap. They sum to 1
-/// so hybrid scores stay in `[0, 1]` and thresholds mean the same
-/// thing under both metrics.
-const W_SEQ: f64 = 0.4;
-const W_SIZE: f64 = 0.2;
-const W_COMB: f64 = 0.2;
-const W_CORE: f64 = 0.2;
 
 /// The pairwise property-affinity scores of one design.
 ///
@@ -145,7 +50,7 @@ const W_CORE: f64 = 0.2;
 ///
 /// ```
 /// use japrove_aig::Aig;
-/// use japrove_core::{AffinityGraph, AffinityMetric};
+/// use japrove_core::AffinityGraph;
 /// use japrove_tsys::{TransitionSystem, Word};
 ///
 /// let mut aig = Aig::new();
@@ -157,9 +62,9 @@ const W_CORE: f64 = 0.2;
 /// let mut sys = TransitionSystem::new("cnt", aig);
 /// sys.add_property("a", a);
 /// sys.add_property("b", b);
-/// let g = AffinityGraph::build(&sys, AffinityMetric::Hybrid);
+/// let g = AffinityGraph::build(&sys);
 /// assert_eq!(g.len(), 2);
-/// assert!(g.score(0, 1) > 0.9); // same counter, same cone
+/// assert_eq!(g.score(0, 1), 1.0); // same counter, same latch support
 /// assert_eq!(g.score(0, 0), 1.0);
 /// ```
 #[derive(Clone, Debug)]
@@ -171,94 +76,15 @@ pub struct AffinityGraph {
 }
 
 impl AffinityGraph {
-    /// Scores every property pair of `sys` under `metric`, probing
-    /// (for the hybrid metric) on the default SAT backend.
-    pub fn build(sys: &TransitionSystem, metric: AffinityMetric) -> Self {
-        AffinityGraph::build_with(sys, metric, BackendChoice::default())
-    }
-
-    /// Scores every property pair of `sys` under `metric`.
-    ///
-    /// The Jaccard metric is purely structural. The hybrid metric
-    /// additionally runs the shallow probing BMC pass once per
-    /// property (bounded depth and conflicts) on `backend`, so
-    /// building it costs a little solver time up front — repaid by
-    /// better clusters.
-    pub fn build_with(
-        sys: &TransitionSystem,
-        metric: AffinityMetric,
-        backend: BackendChoice,
-    ) -> Self {
-        let aig = sys.aig();
-        let n = sys.num_properties();
-        let seq_cones: Vec<Cone> = sys
-            .properties()
-            .iter()
-            .map(|p| Cone::sequential(aig, [p.good]))
-            .collect();
-        let supports: Vec<Vec<usize>> = seq_cones
-            .iter()
-            .map(|cone| {
-                aig.latches()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| cone.contains(l.node))
-                    .map(|(i, _)| i)
-                    .collect()
-            })
-            .collect();
-
-        let (comb_cones, cores) = match metric {
-            AffinityMetric::Jaccard => (Vec::new(), Vec::new()),
-            AffinityMetric::Hybrid => {
-                let comb: Vec<Cone> = sys
-                    .properties()
-                    .iter()
-                    .map(|p| Cone::combinational(aig, [p.good]))
-                    .collect();
-                let mut bmc = Bmc::probing(sys, backend);
-                let cores: Vec<Vec<usize>> = sys
-                    .property_ids()
-                    .map(|p| bmc.probe_core(p, PROBE_DEPTH, Budget::conflicts(PROBE_CONFLICTS)))
-                    .collect();
-                (comb, cores)
-            }
-        };
-
+    /// Scores every property pair of `sys` by the Jaccard similarity
+    /// of their latch supports. Purely structural: no solver runs.
+    pub fn build(sys: &TransitionSystem) -> Self {
+        let supports = latch_supports(sys);
+        let n = supports.len();
         let mut scores = Vec::with_capacity(n * n.saturating_sub(1) / 2);
         for i in 0..n {
             for j in (i + 1)..n {
-                let s_seq = jaccard(&supports[i], &supports[j]);
-                let score = match metric {
-                    AffinityMetric::Jaccard => s_seq,
-                    AffinityMetric::Hybrid => {
-                        let (a, b) = (seq_cones[i].size(), seq_cones[j].size());
-                        let s_size = if a.max(b) == 0 {
-                            1.0
-                        } else {
-                            a.min(b) as f64 / a.max(b) as f64
-                        };
-                        let (ca, cb) = (&comb_cones[i], &comb_cones[j]);
-                        let inter = ca.overlap(cb);
-                        let union = ca.size() + cb.size() - inter;
-                        let s_comb = if union == 0 {
-                            1.0
-                        } else {
-                            inter as f64 / union as f64
-                        };
-                        // An empty core means the probe learned nothing
-                        // about that property; fall back to the
-                        // structural signal instead of dragging the
-                        // pair apart.
-                        let s_core = if cores[i].is_empty() || cores[j].is_empty() {
-                            s_seq
-                        } else {
-                            jaccard(&cores[i], &cores[j])
-                        };
-                        W_SEQ * s_seq + W_SIZE * s_size + W_COMB * s_comb + W_CORE * s_core
-                    }
-                };
-                scores.push(score);
+                scores.push(jaccard(&supports[i], &supports[j]));
             }
         }
         AffinityGraph { n, scores }
@@ -312,7 +138,7 @@ impl AffinityGraph {
 ///
 /// ```
 /// use japrove_aig::Aig;
-/// use japrove_core::{affinity_clusters, AffinityMetric};
+/// use japrove_core::affinity_clusters;
 /// use japrove_tsys::{TransitionSystem, Word};
 ///
 /// let mut aig = Aig::new();
@@ -325,32 +151,15 @@ impl AffinityGraph {
 /// sys.add_property("a", a);
 /// sys.add_property("b", b);
 /// // Same cone: one cluster — unless the size cap forbids it.
-/// assert_eq!(affinity_clusters(&sys, AffinityMetric::Hybrid, 16, 0.5).len(), 1);
-/// assert_eq!(affinity_clusters(&sys, AffinityMetric::Hybrid, 1, 0.5).len(), 2);
+/// assert_eq!(affinity_clusters(&sys, 16, 0.5).len(), 1);
+/// assert_eq!(affinity_clusters(&sys, 1, 0.5).len(), 2);
 /// ```
 pub fn affinity_clusters(
     sys: &TransitionSystem,
-    metric: AffinityMetric,
     max_group_size: usize,
     min_affinity: f64,
 ) -> Vec<Vec<PropertyId>> {
-    let graph = AffinityGraph::build(sys, metric);
-    agglomerate(&graph, max_group_size, min_affinity)
-}
-
-/// [`affinity_clusters`] with an explicit SAT backend for the hybrid
-/// metric's probing pass (the clustered driver threads its configured
-/// backend through here so `--backend` really covers every engine
-/// run).
-pub fn affinity_clusters_with(
-    sys: &TransitionSystem,
-    metric: AffinityMetric,
-    max_group_size: usize,
-    min_affinity: f64,
-    backend: BackendChoice,
-) -> Vec<Vec<PropertyId>> {
-    let graph = AffinityGraph::build_with(sys, metric, backend);
-    agglomerate(&graph, max_group_size, min_affinity)
+    agglomerate(&AffinityGraph::build(sys), max_group_size, min_affinity)
 }
 
 /// The merging loop, split out so tests can drive it on a hand-built
@@ -508,58 +317,58 @@ mod tests {
     #[test]
     fn both_metrics_separate_independent_counters() {
         let sys = sys_with_shared_cones();
-        for metric in [AffinityMetric::Jaccard, AffinityMetric::Hybrid] {
-            let clusters = affinity_clusters(&sys, metric, 16, 0.5);
-            assert_eq!(clusters.len(), 3, "{metric}");
-            let shared = &clusters[0];
-            assert!(shared.contains(&PropertyId::new(0)), "{metric}");
-            assert!(shared.contains(&PropertyId::new(2)), "{metric}");
-        }
+        let clusters = affinity_clusters(&sys, 16, 0.5);
+        assert_eq!(clusters.len(), 3);
+        let shared = &clusters[0];
+        assert!(shared.contains(&PropertyId::new(0)));
+        assert!(shared.contains(&PropertyId::new(2)));
     }
 
     #[test]
     fn clusters_partition_the_property_set() {
         let sys = sys_with_shared_cones();
-        for metric in [AffinityMetric::Jaccard, AffinityMetric::Hybrid] {
-            for max in [1usize, 2, 16] {
-                let clusters = affinity_clusters(&sys, metric, max, 0.3);
-                let mut seen: Vec<usize> = clusters
-                    .iter()
-                    .flat_map(|c| c.iter().map(|p| p.index()))
-                    .collect();
-                seen.sort_unstable();
-                assert_eq!(seen, vec![0, 1, 2, 3], "{metric} max={max}");
-                assert!(clusters.iter().all(|c| c.len() <= max.max(1)));
-            }
+        for max in [1usize, 2, 16] {
+            let clusters = affinity_clusters(&sys, max, 0.3);
+            let mut seen: Vec<usize> = clusters
+                .iter()
+                .flat_map(|c| c.iter().map(|p| p.index()))
+                .collect();
+            seen.sort_unstable();
+            assert_eq!(seen, vec![0, 1, 2, 3], "max={max}");
+            assert!(clusters.iter().all(|c| c.len() <= max.max(1)));
         }
     }
 
     #[test]
     fn scores_are_symmetric_and_bounded() {
         let sys = sys_with_shared_cones();
-        for metric in [AffinityMetric::Jaccard, AffinityMetric::Hybrid] {
-            let g = AffinityGraph::build(&sys, metric);
-            for i in 0..g.len() {
-                for j in 0..g.len() {
-                    let s = g.score(i, j);
-                    assert!((0.0..=1.0).contains(&s), "{metric} {i},{j}: {s}");
-                    assert_eq!(s, g.score(j, i));
-                }
+        let g = AffinityGraph::build(&sys);
+        for i in 0..g.len() {
+            for j in 0..g.len() {
+                let s = g.score(i, j);
+                assert!((0.0..=1.0).contains(&s), "{i},{j}: {s}");
+                assert_eq!(s, g.score(j, i));
+                let (a, b) = (PropertyId::new(i), PropertyId::new(j));
+                assert_eq!(
+                    s,
+                    jaccard(&sys.latch_support(a), &sys.latch_support(b)),
+                    "{i},{j}"
+                );
             }
-            assert!(g.score(0, 2) > g.score(0, 1), "{metric}");
         }
+        assert!(g.score(0, 2) > g.score(0, 1));
     }
 
     #[test]
     fn zero_min_affinity_merges_up_to_the_size_cap() {
         let sys = sys_with_shared_cones();
-        let clusters = affinity_clusters(&sys, AffinityMetric::Jaccard, 4, 0.0);
+        let clusters = affinity_clusters(&sys, 4, 0.0);
         assert_eq!(clusters.len(), 1);
         assert_eq!(clusters[0].len(), 4);
         // Out-of-range thresholds are clamped, not trusted.
-        let clamped = affinity_clusters(&sys, AffinityMetric::Jaccard, 4, -7.5);
+        let clamped = affinity_clusters(&sys, 4, -7.5);
         assert_eq!(clamped.len(), 1);
-        let nothing = affinity_clusters(&sys, AffinityMetric::Jaccard, 4, 99.0);
+        let nothing = affinity_clusters(&sys, 4, 99.0);
         assert!(nothing.len() >= 3, "threshold above 1 clamps to 1.0");
     }
 
@@ -567,7 +376,7 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_min_affinity_panics() {
         let sys = sys_with_shared_cones();
-        let _ = affinity_clusters(&sys, AffinityMetric::Jaccard, 4, f64::NAN);
+        let _ = affinity_clusters(&sys, 4, f64::NAN);
     }
 
     #[test]
@@ -576,7 +385,7 @@ mod tests {
         let l = aig.add_latch(false);
         aig.set_next(l, l);
         let sys = TransitionSystem::new("empty", aig);
-        assert!(affinity_clusters(&sys, AffinityMetric::Hybrid, 8, 0.5).is_empty());
+        assert!(affinity_clusters(&sys, 8, 0.5).is_empty());
     }
 
     /// The all-pairs merging loop `agglomerate` replaced, kept as the
@@ -707,14 +516,5 @@ mod tests {
             assert_eq!(reference_agglomerate(g, 16, min), want);
             assert_eq!(agglomerate(g, 16, min), want);
         }
-    }
-
-    #[test]
-    fn metric_names_round_trip() {
-        for m in [AffinityMetric::Jaccard, AffinityMetric::Hybrid] {
-            assert_eq!(m.name().parse::<AffinityMetric>(), Ok(m));
-        }
-        assert!("cosine".parse::<AffinityMetric>().is_err());
-        assert_eq!(AffinityMetric::default(), AffinityMetric::Hybrid);
     }
 }

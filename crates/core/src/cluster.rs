@@ -12,13 +12,13 @@
 //! when broken properties fail for different reasons with vastly
 //! different counterexamples.
 //!
-//! This greedy single-signal grouping is kept as the *baseline*; the
-//! first-class clustering mode that superseded it lives in
-//! [`crate::affinity`] (multi-signal affinity graph, agglomerative
-//! merging) and [`crate::clustered_verify`] (per-cluster verification
-//! with cluster-scoped clause re-use and a per-property fallback that
-//! can never lose verdicts). Reach for [`grouped_verify`] only when
-//! you specifically want the §12 comparison point.
+//! This greedy grouping is kept as the *baseline*; the first-class
+//! clustering mode that superseded it lives in [`crate::affinity`]
+//! (the same Jaccard signal, agglomerative merging) and
+//! [`crate::clustered_verify`] (per-cluster verification with
+//! cluster-scoped clause re-use and a per-property fallback that can
+//! never lose verdicts). Reach for [`grouped_verify`] only when you
+//! specifically want the §12 comparison point.
 
 use crate::{joint_verify, JointOptions, MultiReport};
 use japrove_tsys::{PropertyId, TransitionSystem};
@@ -91,11 +91,15 @@ impl Default for GroupingOptions {
 
 /// The latch support of each property (its sequential cone of
 /// influence restricted to latches), as sorted index lists. The
-/// parallel driver uses the support sizes to schedule hardest-first.
+/// pipeline uses the support sizes to schedule hardest-first, and
+/// affinity clustering scores property pairs by their [`jaccard`]
+/// similarity.
 pub(crate) fn latch_supports(sys: &TransitionSystem) -> Vec<Vec<usize>> {
     sys.property_ids().map(|p| sys.latch_support(p)).collect()
 }
 
+/// The Jaccard similarity `|a ∩ b| / |a ∪ b|` of two sorted index
+/// lists; `1.0` when both are empty.
 pub(crate) fn jaccard(a: &[usize], b: &[usize]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
@@ -181,7 +185,7 @@ pub fn cluster_properties(sys: &TransitionSystem, opts: &GroupingOptions) -> Vec
 /// JA-verification in the `grouping_ablation` experiment.
 ///
 /// Prefer [`crate::clustered_verify`] for actual verification work: it
-/// clusters on a richer affinity graph, re-uses clauses at cluster
+/// clusters by agglomerative merging, re-uses clauses at cluster
 /// scope, and falls back per-property instead of leaving verdicts
 /// Unknown when a group resists joint solving. This function is kept
 /// as the faithful §12 comparison point.

@@ -5,9 +5,9 @@
 //! verdicts left on the floor), this driver makes clustering a
 //! first-class verification mode in the MPBMC spirit:
 //!
-//! 1. properties are clustered on the multi-signal **affinity graph**
-//!    of [`crate::affinity`] (agglomerative merging under
-//!    `max_group_size`);
+//! 1. properties are clustered on the **affinity graph** of
+//!    [`crate::affinity`] (latch-support Jaccard scores, agglomerative
+//!    merging under `max_group_size`);
 //! 2. each cluster is verified as one unit. Under global scope a
 //!    multi-property cluster first gets a budgeted **joint attempt**
 //!    (one aggregate proof can cover the whole cluster — the grouped
@@ -38,7 +38,6 @@
 //! verdicts are global by construction) and the driver becomes
 //! JA-verification with cluster-scoped clause locality.
 
-use crate::affinity::AffinityMetric;
 use crate::{JointOptions, MultiReport, SeparateOptions, Session};
 use japrove_ic3::Ic3Options;
 use japrove_obs::Journal;
@@ -53,8 +52,8 @@ const DEFAULT_JOINT_CONFLICTS: u64 = 20_000;
 /// Options for clustered verification.
 ///
 /// Mirrors [`crate::GroupingOptions`] (size cap, affinity threshold,
-/// per-unit engine options) and adds the affinity metric, the
-/// per-property fallback options and the joint-attempt switch.
+/// per-unit engine options) and adds the per-property fallback options
+/// and the joint-attempt switch.
 ///
 /// The proof scope of [`ClusteredOptions::separate`] is honored:
 /// [`Scope::Global`](crate::Scope::Global) (the default) yields globally valid verdicts
@@ -67,10 +66,9 @@ const DEFAULT_JOINT_CONFLICTS: u64 = 20_000;
 /// # Examples
 ///
 /// ```
-/// use japrove_core::{AffinityMetric, ClusteredOptions};
+/// use japrove_core::ClusteredOptions;
 ///
 /// let opts = ClusteredOptions::new()
-///     .metric(AffinityMetric::Jaccard)
 ///     .max_group_size(8)
 ///     .min_affinity(0.3);
 /// assert_eq!(opts.max_group_size, 8);
@@ -78,8 +76,6 @@ const DEFAULT_JOINT_CONFLICTS: u64 = 20_000;
 /// ```
 #[derive(Clone, Debug)]
 pub struct ClusteredOptions {
-    /// Affinity signal(s) scoring property pairs.
-    pub metric: AffinityMetric,
     /// Upper bound on the number of properties per cluster.
     pub max_group_size: usize,
     /// Minimum (average-linkage) affinity for two clusters to merge.
@@ -97,12 +93,10 @@ pub struct ClusteredOptions {
 }
 
 impl ClusteredOptions {
-    /// Defaults: hybrid affinity, clusters of up to 16 at threshold
-    /// 0.5, global-scope per-property fallback, budgeted joint
-    /// attempts.
+    /// Defaults: clusters of up to 16 at threshold 0.5, global-scope
+    /// per-property fallback, budgeted joint attempts.
     pub fn new() -> Self {
         ClusteredOptions {
-            metric: AffinityMetric::default(),
             max_group_size: 16,
             min_affinity: 0.5,
             separate: SeparateOptions::global(),
@@ -110,12 +104,6 @@ impl ClusteredOptions {
             joint: JointOptions::new()
                 .ic3(Ic3Options::new().budget(Budget::conflicts(DEFAULT_JOINT_CONFLICTS))),
         }
-    }
-
-    /// Sets the affinity metric.
-    pub fn metric(mut self, metric: AffinityMetric) -> Self {
-        self.metric = metric;
-        self
     }
 
     /// Sets the maximum cluster size.
@@ -262,16 +250,14 @@ mod tests {
     fn clustered_matches_separate_global() {
         let sys = mixed_sys();
         let sep = separate_verify(&sys, &SeparateOptions::global());
-        for metric in [AffinityMetric::Jaccard, AffinityMetric::Hybrid] {
-            let clu = clustered_verify(&sys, &ClusteredOptions::new().metric(metric));
-            assert_eq!(sep.results.len(), clu.results.len());
-            for (a, b) in sep.results.iter().zip(&clu.results) {
-                assert_eq!(a.id, b.id);
-                assert_eq!(a.holds(), b.holds(), "{metric}/{}", a.name);
-                assert_eq!(a.fails(), b.fails(), "{metric}/{}", a.name);
-            }
-            assert!(clu.method.contains("clustered-global"), "{}", clu.method);
+        let clu = clustered_verify(&sys, &ClusteredOptions::new());
+        assert_eq!(sep.results.len(), clu.results.len());
+        for (a, b) in sep.results.iter().zip(&clu.results) {
+            assert_eq!(a.id, b.id);
+            assert_eq!(a.holds(), b.holds(), "{}", a.name);
+            assert_eq!(a.fails(), b.fails(), "{}", a.name);
         }
+        assert!(clu.method.contains("clustered-global"), "{}", clu.method);
     }
 
     #[test]

@@ -69,7 +69,7 @@ mod reuse;
 mod separate;
 mod verdict_cache;
 
-pub use affinity::{affinity_clusters, affinity_clusters_with, AffinityGraph, AffinityMetric};
+pub use affinity::{affinity_clusters, AffinityGraph};
 pub use cluster::{cluster_properties, grouped_verify, GroupingOptions};
 pub use clustered::{clustered_verify, parallel_clustered_verify, ClusteredOptions};
 pub use debug_set::{check_local_global_agreement, validate_debugging_set, verify_reuse_soundness};

@@ -32,7 +32,7 @@
 //! threads the *deal* is deterministic and only the steal timing
 //! varies, which affects speed, never verdicts.
 
-use crate::affinity::affinity_clusters_with;
+use crate::affinity::affinity_clusters;
 use crate::cluster::latch_supports;
 use crate::joint::{aggregate_system, falsified_by_replay};
 use crate::parallel::Dispatcher;
@@ -285,14 +285,8 @@ impl Session {
             }
             SessionKind::Clustered(o) => {
                 let clusters = {
-                    let _probe_span = self.journal().span(Phase::AffinityProbe);
-                    affinity_clusters_with(
-                        sys,
-                        o.metric,
-                        o.max_group_size,
-                        o.min_affinity,
-                        o.separate.backend,
-                    )
+                    let _affinity_span = self.journal().span(Phase::AffinityProbe);
+                    affinity_clusters(sys, o.max_group_size, o.min_affinity)
                 };
                 clusters
                     .into_iter()
@@ -853,11 +847,7 @@ fn run_clustered(
     };
     let mut report = MultiReport::new(
         sys.name(),
-        format!(
-            "{scope_label}[{}] x{threads} ({} clusters)",
-            opts.metric,
-            units.len()
-        ),
+        format!("{scope_label} x{threads} ({} clusters)", units.len()),
     );
 
     let workers = threads.min(units.len());

@@ -84,11 +84,6 @@ pub struct Bmc<'a> {
     input_vars: Vec<Vec<Var>>,
     /// Good-literals per frame, one per property.
     good_lits: Vec<Vec<Lit>>,
-    /// In probing mode the initial state is given as *assumptions*
-    /// (one literal per latch, at its reset value) instead of unit
-    /// clauses, so an UNSAT answer comes with a core naming the reset
-    /// bits the refutation actually needed.
-    init_assumptions: Vec<Lit>,
     journal: Journal,
 }
 
@@ -101,31 +96,16 @@ impl<'a> Bmc<'a> {
 
     /// Creates a checker on the given SAT backend.
     pub fn with_backend(sys: &'a TransitionSystem, backend: BackendChoice) -> Self {
-        Bmc::build(sys, backend, false)
-    }
-
-    /// Creates a *probing* checker: the initial latch values are passed
-    /// as per-query assumptions instead of unit clauses, so UNSAT
-    /// answers expose which reset bits the refutation depended on (see
-    /// [`Bmc::probe_core`]). Verdicts are identical to a plain checker;
-    /// queries are marginally more expensive.
-    pub fn probing(sys: &'a TransitionSystem, backend: BackendChoice) -> Self {
-        Bmc::build(sys, backend, true)
-    }
-
-    fn build(sys: &'a TransitionSystem, backend: BackendChoice, probing: bool) -> Self {
         let mut bmc = Bmc {
             sys,
             solver: backend.build(),
             state_vars: Vec::new(),
             input_vars: Vec::new(),
             good_lits: Vec::new(),
-            init_assumptions: Vec::new(),
             journal: Journal::disabled(),
         };
-        // Frame 0 state variables, constrained to the initial state —
-        // by unit clauses normally, by recorded assumptions in probing
-        // mode.
+        // Frame 0 state variables, constrained to the initial state by
+        // unit clauses.
         let vars: Vec<Var> = sys
             .aig()
             .latches()
@@ -133,12 +113,7 @@ impl<'a> Bmc<'a> {
             .map(|_| bmc.solver.new_var())
             .collect();
         for (v, latch) in vars.iter().zip(sys.aig().latches()) {
-            let init = v.lit(!latch.reset);
-            if probing {
-                bmc.init_assumptions.push(init);
-            } else {
-                bmc.solver.add_clause(&[init]);
-            }
+            bmc.solver.add_clause(&[v.lit(!latch.reset)]);
         }
         bmc.state_vars.push(vars);
         bmc.encode_frame_logic();
@@ -240,17 +215,14 @@ impl<'a> Bmc<'a> {
             .iter()
             .map(|&p| !self.good_lits[k][p.index()])
             .collect();
-        let mut assumptions = self.init_assumptions.clone();
         let result = if bads.len() == 1 {
-            assumptions.extend(&bads);
-            self.solver.solve(&assumptions)
+            self.solver.solve(&bads)
         } else {
             let aux = self.solver.new_var();
             let mut clause: Vec<Lit> = vec![aux.neg()];
             clause.extend(&bads);
             self.solver.add_clause(&clause);
-            assumptions.push(aux.pos());
-            let r = self.solver.solve(&assumptions);
+            let r = self.solver.solve(&[aux.pos()]);
             // Permanently disable the auxiliary definition.
             self.solver.add_clause(&[aux.neg()]);
             r
@@ -297,7 +269,7 @@ impl<'a> Bmc<'a> {
         assert!(!inputs.is_empty(), "at least one step of stimulus");
         let k = inputs.len() - 1;
         self.extend_to(k);
-        let mut assumptions = self.init_assumptions.clone();
+        let mut assumptions = Vec::new();
         for (frame, step) in inputs.iter().enumerate() {
             assert_eq!(
                 step.len(),
@@ -313,44 +285,6 @@ impl<'a> Bmc<'a> {
             SolveResult::Sat => Some(self.extract_trace(k)),
             _ => None,
         }
-    }
-
-    /// Probes `prop` at depths `0..=max_depth` and returns the sorted
-    /// latch indices whose *reset values* appeared in some depth's
-    /// UNSAT core — the state bits shallow refutations of the property
-    /// actually lean on. The probe stops early (returning what it has)
-    /// when a depth query is satisfiable or runs out of budget, so the
-    /// result is a best-effort structural signature, not a verdict.
-    ///
-    /// Property clustering feeds the overlap of these signatures back
-    /// into its affinity graph: two properties whose shallow proofs
-    /// needed the same reset bits tend to keep sharing reasoning at
-    /// depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless this checker was created with [`Bmc::probing`]
-    /// (without init assumptions there is no core to read).
-    pub fn probe_core(&mut self, prop: PropertyId, max_depth: usize, budget: Budget) -> Vec<usize> {
-        assert!(
-            !self.init_assumptions.is_empty() || self.sys.num_latches() == 0,
-            "probe_core requires a probing-mode checker (Bmc::probing)"
-        );
-        let mut latches: Vec<usize> = Vec::new();
-        for k in 0..=max_depth {
-            match self.check_at(&[prop], k, budget) {
-                BmcResult::NoCexUpTo(_) => {
-                    for (i, &init) in self.init_assumptions.clone().iter().enumerate() {
-                        if self.solver.core_contains(init) && !latches.contains(&i) {
-                            latches.push(i);
-                        }
-                    }
-                }
-                BmcResult::Cex { .. } | BmcResult::Unknown(_) => break,
-            }
-        }
-        latches.sort_unstable();
-        latches
     }
 
     /// The input variables of frames `0..=k` — the *inputs* projection
@@ -389,9 +323,7 @@ impl<'a> Bmc<'a> {
         self.extend_to(k);
         self.solver.set_budget(budget);
         let act = self.solver.new_var();
-        let mut assumptions = self.init_assumptions.clone();
-        assumptions.push(!self.good_lits[k][prop.index()]);
-        assumptions.push(act.pos());
+        let assumptions = [!self.good_lits[k][prop.index()], act.pos()];
         let mut cexes: Vec<(Counterexample, Vec<bool>)> = Vec::new();
         let mut exhausted = false;
         while cexes.len() < max {
@@ -449,10 +381,9 @@ impl<'a> Bmc<'a> {
         for (vars, parity) in xors {
             self.solver.add_xor_guarded(act, vars, *parity);
         }
-        let mut assumptions = self.init_assumptions.clone();
-        assumptions.push(!self.good_lits[k][prop.index()]);
-        assumptions.push(act.pos());
-        let result = self.solver.solve(&assumptions);
+        let result = self
+            .solver
+            .solve(&[!self.good_lits[k][prop.index()], act.pos()]);
         self.solver.retire(act);
         self.solver.simplify();
         result
@@ -581,56 +512,6 @@ mod tests {
             res,
             BmcResult::Unknown(UnknownReason::Budget) | BmcResult::Cex { .. }
         ));
-    }
-
-    #[test]
-    fn probing_mode_matches_plain_verdicts() {
-        for limit in [9u64, 16] {
-            let (sys, p) = counter(4, limit);
-            let plain = Bmc::new(&sys).run(&[p], 12, Budget::unlimited());
-            let probing =
-                Bmc::probing(&sys, BackendChoice::default()).run(&[p], 12, Budget::unlimited());
-            match (plain, probing) {
-                (BmcResult::Cex { cex: a, .. }, BmcResult::Cex { cex: b, .. }) => {
-                    assert_eq!(a.depth, b.depth)
-                }
-                (BmcResult::NoCexUpTo(a), BmcResult::NoCexUpTo(b)) => assert_eq!(a, b),
-                (a, b) => panic!("probing changed the verdict: {a:?} vs {b:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn probe_cores_stay_within_the_property_cone() {
-        // Two independent 3-bit counters; each property's probe core
-        // must only name latches of its own counter.
-        let mut aig = Aig::new();
-        let a = Word::latches(&mut aig, 3, 0);
-        let na = a.increment(&mut aig);
-        a.set_next(&mut aig, &na);
-        let b = Word::latches(&mut aig, 3, 0);
-        let nb = b.increment(&mut aig);
-        b.set_next(&mut aig, &nb);
-        let pa = a.lt_const(&mut aig, 8);
-        let pb = b.lt_const(&mut aig, 8);
-        let mut sys = TransitionSystem::new("two", aig);
-        let p0 = sys.add_property("a_ok", pa);
-        let p1 = sys.add_property("b_ok", pb);
-        let mut bmc = Bmc::probing(&sys, BackendChoice::default());
-        let core_a = bmc.probe_core(p0, 4, Budget::unlimited());
-        let core_b = bmc.probe_core(p1, 4, Budget::unlimited());
-        assert!(core_a.iter().all(|&i| i < 3), "{core_a:?}");
-        assert!(core_b.iter().all(|&i| i >= 3), "{core_b:?}");
-    }
-
-    #[test]
-    fn probe_core_stops_at_a_counterexample() {
-        let (sys, p) = counter(3, 2);
-        let mut bmc = Bmc::probing(&sys, BackendChoice::default());
-        // The property fails at depth 2; whatever was collected at
-        // depths 0..2 is returned without panicking.
-        let core = bmc.probe_core(p, 8, Budget::unlimited());
-        assert!(core.iter().all(|&i| i < 3));
     }
 
     /// `k` latches loaded directly from `k` inputs, with "good" iff

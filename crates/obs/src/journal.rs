@@ -62,7 +62,10 @@ pub enum Phase {
     Plan,
     /// Building the shared CNF encoding of the design.
     Encode,
-    /// Affinity-graph construction incl. the probing BMC pass.
+    /// Clustering in the Plan stage of clustered runs: scoring every
+    /// property pair and agglomerating the scores into clusters. The
+    /// name (`affinity_probe` in traces) is part of the trace schema;
+    /// the span runs no solver.
     AffinityProbe,
     /// One cluster's end-to-end verification (joint + fallback).
     Cluster,

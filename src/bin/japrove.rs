@@ -8,8 +8,8 @@
 
 use japrove::core::{
     enumerate_report, grouped_verify, local_assumptions, mine_verify, validate_debugging_set,
-    AffinityMetric, ClusteredOptions, EnumOptions, GroupingOptions, JointOptions, MultiReport,
-    Projection, SeparateOptions, Session, VerdictCache,
+    ClusteredOptions, EnumOptions, GroupingOptions, JointOptions, MultiReport, Projection,
+    SeparateOptions, Session, VerdictCache,
 };
 use japrove::ic3::Lifting;
 use japrove::mine::MineOptions;
@@ -32,8 +32,6 @@ USAGE:
 OPTIONS:
     --mode <ja|joint|separate-global|grouped|clustered|parallel|parallel-global>
                               verification driver [default: ja]
-    --affinity <jaccard|hybrid> affinity metric for --mode clustered
-                              [default: hybrid]
     --threads <N>             workers for the parallel and clustered
                               modes [default: 2]
     --backend <cdcl|chrono>   SAT backend for every engine run
@@ -90,7 +88,11 @@ OPTIONS:
                               joint_attempt, enum_round,
                               feature_store_save, verdict_cache_save)
     --fault-seed <N>          seed for --fault-plan decisions [default: 0]
-    --witness-dir <DIR>       write AIGER witnesses for failing properties
+    --witness-dir <DIR>       write AIGER witnesses for failing properties,
+                              one file per property named
+                              P<index>_<name>.cex (<index> counts from 0
+                              in declaration order; every character of
+                              <name> outside [A-Za-z0-9._-] becomes '_')
     --validate                re-check the debugging-set guarantees
     -q, --quiet               only print the summary line
     -h, --help                show this help
@@ -117,7 +119,6 @@ struct Cli {
     enum_max: usize,
     projection: Projection,
     mode: String,
-    affinity: AffinityMetric,
     threads: usize,
     backend: BackendChoice,
     per_property: Option<Duration>,
@@ -150,7 +151,6 @@ fn parse_args() -> Result<Cli, String> {
         enum_max: 16,
         projection: Projection::default(),
         mode: "ja".into(),
-        affinity: AffinityMetric::default(),
         threads: 2,
         backend: BackendChoice::default(),
         per_property: None,
@@ -183,7 +183,6 @@ fn parse_args() -> Result<Cli, String> {
             "--validate" => cli.validate = true,
             "--no-reuse" => cli.reuse = false,
             "--mode" => cli.mode = value("--mode")?,
-            "--affinity" => cli.affinity = value("--affinity")?.parse()?,
             "--backend" => cli.backend = value("--backend")?.parse()?,
             "--threads" => {
                 cli.threads = value("--threads")?
@@ -404,7 +403,6 @@ fn run(cli: &Cli, journal: &Journal) -> Result<(MultiReport, TransitionSystem), 
                 "joint" => Session::joint(joint.clone()),
                 "clustered" => {
                     let opts = ClusteredOptions::new()
-                        .metric(cli.affinity)
                         .separate(global(sep.clone()))
                         .backend(cli.backend)
                         .journal(journal.clone());
@@ -601,6 +599,26 @@ fn report_json(report: &MultiReport) -> Value {
     ])
 }
 
+/// The `--witness-dir` file name of property `index`: `P{index}_{name}.cex`
+/// with every character of `name` outside `[A-Za-z0-9._-]` replaced by
+/// `_`. Property names come verbatim from the AIGER symbol table, so
+/// the name alone could hold a path separator or repeat another
+/// property's; the index keeps every file distinct and inside the
+/// directory.
+fn witness_file_name(index: usize, name: &str) -> String {
+    let safe: String = name
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect();
+    format!("P{index}_{safe}.cex")
+}
+
 /// Merges this run's per-property records into the JSONL feature store
 /// at `path`.
 fn update_feature_store(
@@ -772,7 +790,7 @@ fn main() -> ExitCode {
         }
         for r in &report.results {
             if let Some(cex) = r.counterexample() {
-                let path = format!("{dir}/{}.cex", r.name);
+                let path = format!("{dir}/{}", witness_file_name(r.id.index(), &r.name));
                 match std::fs::File::create(&path) {
                     Ok(mut f) => {
                         if let Err(e) = write_witness(&mut f, &sys, r.id, &cex.trace) {

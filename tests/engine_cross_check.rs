@@ -4,7 +4,7 @@
 
 use japrove::core::{
     clustered_verify, ja_verify, parallel_clustered_verify, parallel_ja_verify, separate_verify,
-    AffinityMetric, ClusteredOptions, JointOptions, SeparateOptions,
+    ClusteredOptions, JointOptions, SeparateOptions,
 };
 use japrove::genbench::FamilyParams;
 use japrove::ic3::{verify_certificate, Bmc, BmcResult, CheckOutcome, Ic3, Ic3Options};
@@ -222,62 +222,34 @@ fn parallel_verdicts_match_sequential_under_stress() {
 }
 
 #[test]
-fn clustered_matches_separate_on_every_design_and_metric() {
+fn clustered_matches_separate_on_every_design() {
     // Verdict parity of the clustered driver against plain separate
-    // verification, over every generated design × both affinity
-    // metrics × both scopes. The designs mix valid and failing
-    // properties (including shadowed ones, where local and global
-    // verdicts differ), so this also pins down that clustered-local is
-    // JA and clustered-global is the global baseline.
+    // verification, over every generated design × both scopes. The
+    // designs mix valid and failing properties (including shadowed
+    // ones, where local and global verdicts differ), so this also pins
+    // down that clustered-local is JA and clustered-global is the
+    // global baseline.
     for design in random_designs() {
         let sys = &design.sys;
-        for metric in [AffinityMetric::Jaccard, AffinityMetric::Hybrid] {
-            let global = separate_verify(sys, &SeparateOptions::global());
-            let clustered = clustered_verify(sys, &ClusteredOptions::new().metric(metric));
-            assert_eq!(global.results.len(), clustered.results.len());
-            for (a, b) in global.results.iter().zip(&clustered.results) {
-                assert_eq!(a.id, b.id);
-                assert_eq!(
-                    a.holds(),
-                    b.holds(),
-                    "{}/{}/{metric} (global)",
-                    sys.name(),
-                    a.name
-                );
-                assert_eq!(
-                    a.fails(),
-                    b.fails(),
-                    "{}/{}/{metric} (global)",
-                    sys.name(),
-                    a.name
-                );
-            }
+        let global = separate_verify(sys, &SeparateOptions::global());
+        let clustered = clustered_verify(sys, &ClusteredOptions::new());
+        assert_eq!(global.results.len(), clustered.results.len());
+        for (a, b) in global.results.iter().zip(&clustered.results) {
+            assert_eq!(a.id, b.id);
+            assert_eq!(a.holds(), b.holds(), "{}/{} (global)", sys.name(), a.name);
+            assert_eq!(a.fails(), b.fails(), "{}/{} (global)", sys.name(), a.name);
+        }
 
-            let local = ja_verify(sys, &SeparateOptions::local());
-            let clustered_local = clustered_verify(
-                sys,
-                &ClusteredOptions::new()
-                    .metric(metric)
-                    .separate(SeparateOptions::local()),
-            );
-            for (a, b) in local.results.iter().zip(&clustered_local.results) {
-                assert_eq!(a.id, b.id);
-                assert_eq!(a.scope, b.scope);
-                assert_eq!(
-                    a.holds(),
-                    b.holds(),
-                    "{}/{}/{metric} (local)",
-                    sys.name(),
-                    a.name
-                );
-                assert_eq!(
-                    a.fails(),
-                    b.fails(),
-                    "{}/{}/{metric} (local)",
-                    sys.name(),
-                    a.name
-                );
-            }
+        let local = ja_verify(sys, &SeparateOptions::local());
+        let clustered_local = clustered_verify(
+            sys,
+            &ClusteredOptions::new().separate(SeparateOptions::local()),
+        );
+        for (a, b) in local.results.iter().zip(&clustered_local.results) {
+            assert_eq!(a.id, b.id);
+            assert_eq!(a.scope, b.scope);
+            assert_eq!(a.holds(), b.holds(), "{}/{} (local)", sys.name(), a.name);
+            assert_eq!(a.fails(), b.fails(), "{}/{} (local)", sys.name(), a.name);
         }
     }
 }
@@ -287,8 +259,8 @@ fn clustered_fallback_recovers_every_verdict_on_a_mixed_family() {
     // A mixed valid/failing family where the per-cluster joint attempt
     // is starved (1-conflict budget): every verdict must come from the
     // per-property fallback, so nothing may be left Unknown and parity
-    // with the separate baseline must still hold — under both metrics
-    // and in the parallel driver too.
+    // with the separate baseline must still hold — in the parallel
+    // driver too.
     use japrove::ic3::Ic3Options;
     use japrove::sat::Budget;
     let design = FamilyParams::new("mixed_fallback", 23)
@@ -302,18 +274,15 @@ fn clustered_fallback_recovers_every_verdict_on_a_mixed_family() {
     let separate = separate_verify(sys, &SeparateOptions::global());
     assert!(separate.num_false() >= 3, "family must mix verdicts");
     assert!(separate.num_true() >= 3, "family must mix verdicts");
-    for metric in [AffinityMetric::Jaccard, AffinityMetric::Hybrid] {
-        let starved = ClusteredOptions::new()
-            .metric(metric)
-            .joint(JointOptions::new().ic3(Ic3Options::new().budget(Budget::conflicts(1))));
-        for threads in [1usize, 3] {
-            let report = parallel_clustered_verify(sys, threads, &starved);
-            assert_eq!(report.num_unsolved(), 0, "{metric} x{threads}: {report}");
-            for (a, b) in separate.results.iter().zip(&report.results) {
-                assert_eq!(a.id, b.id);
-                assert_eq!(a.holds(), b.holds(), "{}/{metric} x{threads}", a.name);
-                assert_eq!(a.fails(), b.fails(), "{}/{metric} x{threads}", a.name);
-            }
+    let starved = ClusteredOptions::new()
+        .joint(JointOptions::new().ic3(Ic3Options::new().budget(Budget::conflicts(1))));
+    for threads in [1usize, 3] {
+        let report = parallel_clustered_verify(sys, threads, &starved);
+        assert_eq!(report.num_unsolved(), 0, "x{threads}: {report}");
+        for (a, b) in separate.results.iter().zip(&report.results) {
+            assert_eq!(a.id, b.id);
+            assert_eq!(a.holds(), b.holds(), "{} x{threads}", a.name);
+            assert_eq!(a.fails(), b.fails(), "{} x{threads}", a.name);
         }
     }
 }
