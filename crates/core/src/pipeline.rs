@@ -470,26 +470,35 @@ fn budget_expired(
     unknown_result(sys, id, opts, UnknownReason::Budget)
 }
 
-/// Joins the solve-stage worker threads, surviving a worker that died
-/// of an *uncontained* panic (anything that escaped the per-property
-/// `catch_unwind` in `check_one`): the payload is journaled as a
-/// `fault` event and the dead worker's finished results are simply
-/// absent — the callers fill the holes with `Unknown(EngineFault)`.
-fn join_workers<T>(
-    handles: Vec<std::thread::ScopedJoinHandle<'_, Vec<T>>>,
+/// Runs the solve-stage workers `0..workers` and gathers their results:
+/// worker 0 on the calling thread, the others on scoped threads, so a
+/// one-worker run spawns no thread and waits on no join. Survives a
+/// worker that died of an *uncontained* panic (anything that escaped
+/// the per-property `catch_unwind` in `check_one`): the payload is
+/// journaled as a `fault` event and the dead worker's finished results
+/// are simply absent — the callers fill the holes with
+/// `Unknown(EngineFault)`.
+fn run_workers<T: Send>(
+    workers: usize,
     journal: &Journal,
+    work: impl Fn(usize) -> Vec<T> + Sync,
 ) -> Vec<T> {
-    let mut all = Vec::new();
-    for h in handles {
-        match h.join() {
-            Ok(mine) => all.extend(mine),
-            Err(payload) => journal.event(EventKind::Fault {
-                site: "worker".into(),
-                detail: panic_detail(payload.as_ref()),
-            }),
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|w| scope.spawn(move || work(w))).collect();
+        let inline = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(0)));
+        let mut all = Vec::new();
+        for outcome in std::iter::once(inline).chain(handles.into_iter().map(|h| h.join())) {
+            match outcome {
+                Ok(mine) => all.extend(mine),
+                Err(payload) => journal.event(EventKind::Fault {
+                    site: "worker".into(),
+                    detail: panic_detail(payload.as_ref()),
+                }),
+            }
         }
-    }
-    all
+        all
+    })
 }
 
 /// The sequential separate driver: caller-order walk, warm pool,
@@ -584,27 +593,16 @@ fn run_parallel(
             Arc::new(TsEncoding::new(sys))
         };
         let dispatcher = Dispatcher::new(&jobs, workers);
-        let finished = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let dispatcher = &dispatcher;
-                let enc = Arc::clone(&enc);
-                let db = db.clone();
-                let assumed = &assumed;
-                handles.push(scope.spawn(move || {
-                    let mut pool = CtxPool::with_encoding(enc);
-                    pool.set_journal(opts.journal.clone());
-                    let mut mine = Vec::new();
-                    while let Some(i) = dispatcher.pop(w) {
-                        let result =
-                            check_one(sys, order[i], assumed, &db, opts, deadline, &mut pool);
-                        publish_if_proved(&db, opts, &result);
-                        mine.push((i, result));
-                    }
-                    mine
-                }));
+        let finished = run_workers(workers, &opts.journal, |w| {
+            let mut pool = CtxPool::with_encoding(Arc::clone(&enc));
+            pool.set_journal(opts.journal.clone());
+            let mut mine = Vec::new();
+            while let Some(i) = dispatcher.pop(w) {
+                let result = check_one(sys, order[i], &assumed, &db, opts, deadline, &mut pool);
+                publish_if_proved(&db, opts, &result);
+                mine.push((i, result));
             }
-            join_workers(handles, &opts.journal)
+            mine
         });
         for (i, result) in finished {
             slots[i] = Some(result);
@@ -872,36 +870,24 @@ fn run_clustered(
         // Units are already plan-ordered; deal them as-is.
         let jobs: Vec<usize> = (0..units.len()).collect();
         let dispatcher = Dispatcher::new(&jobs, workers);
-        let solved: Vec<PropertyResult> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let dispatcher = &dispatcher;
-                let enc = Arc::clone(&enc);
-                let global_db = global_db.clone();
-                let units = &units;
-                let assumed = &assumed;
-                let ledger = ledger.as_ref();
-                handles.push(scope.spawn(move || {
-                    let mut pool = CtxPool::with_encoding(enc);
-                    pool.set_journal(opts.separate.journal.clone());
-                    let mut mine = Vec::new();
-                    while let Some(c) = dispatcher.pop(w) {
-                        mine.extend(verify_cluster(
-                            sys,
-                            c,
-                            &units[c].members,
-                            opts,
-                            assumed,
-                            &global_db,
-                            ledger,
-                            deadline,
-                            &mut pool,
-                        ));
-                    }
-                    mine
-                }));
+        let solved = run_workers(workers, journal, |w| {
+            let mut pool = CtxPool::with_encoding(Arc::clone(&enc));
+            pool.set_journal(opts.separate.journal.clone());
+            let mut mine = Vec::new();
+            while let Some(c) = dispatcher.pop(w) {
+                mine.extend(verify_cluster(
+                    sys,
+                    c,
+                    &units[c].members,
+                    opts,
+                    &assumed,
+                    &global_db,
+                    ledger.as_ref(),
+                    deadline,
+                    &mut pool,
+                ));
             }
-            join_workers(handles, journal)
+            mine
         });
         results.extend(solved);
     }

@@ -13,8 +13,7 @@
 //! worker publishes certificates and snapshots concurrently:
 //!
 //! * clauses are spread over [`NUM_SHARDS`] independently locked
-//!   shards, so publishers serialize only per shard instead of on one
-//!   global mutex;
+//!   shards;
 //! * each shard keeps a **literal-occurrence index** plus a 64-bit
 //!   **literal signature** per clause, turning both subsumption
 //!   directions from full scans into a few candidate probes — the
@@ -26,15 +25,11 @@
 //!   the O(delta) path behind the [`ClauseSource`] impl) instead of
 //!   re-cloning the whole store.
 //!
-//! Sequential semantics are unchanged: a published clause is dropped
-//! if some stored clause subsumes it, and evicts every stored clause
-//! it subsumes. Under concurrent publishes, the home shard (where a
-//! clause is inserted) is re-checked under a single lock, so an
-//! *identical* clause can never be stored twice — identical clauses
-//! share a home shard. Two *distinct* clauses where one subsumes the
-//! other can race past each other's cross-shard checks and coexist
-//! until a later publish covers the weaker one — harmless, because
-//! every stored clause is sound on its own.
+//! A published clause is dropped if some stored clause subsumes it,
+//! and evicts every stored clause it subsumes. Publishes serialize on
+//! the log's lock, so concurrent readers see each published batch
+//! whole or not at all (see [`ClauseDb::publish`] for why that matters
+//! to certificates).
 
 use japrove_ic3::ClauseSource;
 use japrove_logic::Clause;
@@ -219,7 +214,16 @@ impl ClauseDb {
 
     /// Appends clauses, dropping duplicates and clauses subsumed by an
     /// existing entry. Returns how many were actually added.
+    ///
+    /// One call is one batch: publishes serialize on the addition log's
+    /// lock, held for the whole call, so a reader
+    /// ([`ClauseDb::clauses_since`], [`ClauseDb::snapshot`]) sees a
+    /// batch whole or not at all. Callers publish whole certificates,
+    /// and an inductive certificate missing some of its clauses need
+    /// not be inductive; an engine that imported such a part would
+    /// return a certificate that fails re-verification.
     pub fn publish<I: IntoIterator<Item = Clause>>(&self, clauses: I) -> usize {
+        let mut log = self.inner.log.lock().unwrap_or_else(|e| e.into_inner());
         let mut added = 0;
         for clause in clauses {
             let normalized = match clause.normalized() {
@@ -227,37 +231,19 @@ impl ClauseDb {
                 None => continue, // tautology carries no information
             };
             let sig = signature(&normalized);
-            let home = ClauseDb::shard_of(&normalized);
-            // Check and evict in the *other* shards first, one lock at
-            // a time. The home shard is handled last, atomically:
-            // identical clauses hash to the same home shard, so the
-            // re-check under its lock makes duplicate inserts
-            // impossible even under concurrent publishes.
-            if (0..NUM_SHARDS)
-                .filter(|&i| i != home)
-                .any(|i| self.lock(i).subsumes_new(&normalized, sig))
-            {
+            if (0..NUM_SHARDS).any(|i| self.lock(i).subsumes_new(&normalized, sig)) {
                 continue;
             }
-            for i in (0..NUM_SHARDS).filter(|&i| i != home) {
+            for i in 0..NUM_SHARDS {
                 self.lock(i).evict_subsumed(&normalized, sig);
             }
-            {
-                let mut shard = self.lock(home);
-                if shard.subsumes_new(&normalized, sig) {
-                    continue;
-                }
-                shard.evict_subsumed(&normalized, sig);
-                shard.insert(normalized.clone(), sig);
-            }
-            {
-                let mut log = self.inner.log.lock().unwrap_or_else(|e| e.into_inner());
-                log.clauses.push(normalized);
-                if log.clauses.len() > LOG_CAP {
-                    let drop = log.clauses.len() / 2;
-                    log.clauses.drain(..drop);
-                    log.base += drop as u64;
-                }
+            self.lock(ClauseDb::shard_of(&normalized))
+                .insert(normalized.clone(), sig);
+            log.clauses.push(normalized);
+            if log.clauses.len() > LOG_CAP {
+                let drop = log.clauses.len() / 2;
+                log.clauses.drain(..drop);
+                log.base += drop as u64;
             }
             self.inner.version.fetch_add(1, Ordering::Release);
             added += 1;
@@ -265,8 +251,9 @@ impl ClauseDb {
         added
     }
 
-    /// A snapshot of the current clauses.
+    /// A snapshot of the current clauses, taken between publishes.
     pub fn snapshot(&self) -> Vec<Clause> {
+        let _log = self.inner.log.lock().unwrap_or_else(|e| e.into_inner());
         let mut out = Vec::new();
         for i in 0..NUM_SHARDS {
             out.extend(self.lock(i).clauses.iter().flatten().cloned());
@@ -307,11 +294,11 @@ impl ClauseDb {
     /// holding an old cursor simply see no new clauses until the next
     /// publish).
     pub fn clear(&self) {
+        let mut log = self.inner.log.lock().unwrap_or_else(|e| e.into_inner());
         for i in 0..NUM_SHARDS {
             let mut shard = self.lock(i);
             *shard = Shard::default();
         }
-        let mut log = self.inner.log.lock().unwrap_or_else(|e| e.into_inner());
         log.base += log.clauses.len() as u64;
         log.clauses.clear();
     }
@@ -533,8 +520,8 @@ mod tests {
 
     #[test]
     fn concurrent_identical_publishes_store_one_copy() {
-        // The home-shard re-check under a single lock must make
-        // duplicate inserts impossible whatever the interleaving.
+        // Serialized publishes must make duplicate inserts impossible
+        // whatever the interleaving.
         let db = ClauseDb::new();
         std::thread::scope(|s| {
             for _ in 0..8 {
@@ -653,6 +640,37 @@ mod tests {
         let (none, _) = ClauseSource::clauses_since(&source, cursor);
         assert!(none.is_empty());
         assert_eq!(ClauseSource::clauses(&source).len(), 2);
+    }
+
+    #[test]
+    fn concurrent_readers_see_each_publish_whole() {
+        // A writer publishes batches of distinct unit clauses (none
+        // subsumes another, so every batch adds exactly `BATCH`) while a
+        // reader polls the delta feed and the snapshot: each must only
+        // ever hold whole batches.
+        const BATCH: usize = 64;
+        const BATCHES: u32 = 200;
+        let db = ClauseDb::new();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for b in 0..BATCHES {
+                    let vars = b * BATCH as u32..(b + 1) * BATCH as u32;
+                    db.publish(vars.map(|v| clause(&[(v, false)])));
+                }
+            });
+            start.wait();
+            let (mut seen, mut cursor) = (0, 0);
+            while seen < BATCH * BATCHES as usize {
+                let (fresh, next) = db.clauses_since(cursor);
+                assert_eq!(fresh.len() % BATCH, 0, "delta of {}", fresh.len());
+                let snap = db.snapshot().len();
+                assert_eq!(snap % BATCH, 0, "snapshot of {snap}");
+                seen += fresh.len();
+                cursor = next;
+            }
+        });
     }
 
     #[test]
