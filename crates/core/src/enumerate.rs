@@ -17,10 +17,13 @@
 //! * **Counting** — an MBound-style estimate of how many distinct
 //!   projection assignments fail: `s` random XOR parity constraints
 //!   over the projection set (fresh seeded [`SplitMix64`] streams)
-//!   are added via guarded clauses and retired per round; the largest
-//!   `s*` whose rounds stay majority-SAT brackets the count as
-//!   `[2^s* / ε, 2^(s*+1) · ε]`, with the slack factor ε and the
-//!   nominal failure probability δ recorded on the estimate.
+//!   are Gauss–Jordan-reduced, added via guarded clauses and retired
+//!   per round; the largest `s*` whose rounds stay majority-SAT
+//!   brackets the count as `[2^s* / ε, 2^(s*+1) · ε]`, with the slack
+//!   factor ε and the nominal failure probability δ recorded on the
+//!   estimate. A level's vote stops once its majority is decided, and
+//!   the exact-count probe reuses the enumeration round when that
+//!   round already decides it; neither changes an estimate.
 //!
 //! Both passes share one warm [`Bmc`] across all properties of the
 //! design — enumeration is repeated warm re-solving under retired
@@ -137,7 +140,8 @@ pub struct EnumOptions {
     /// Seed of the per-(property, level, trial) XOR constraint
     /// streams.
     pub seed: u64,
-    /// Solver trials per XOR level (majority vote).
+    /// Solver trials per XOR level (majority vote). A level stops
+    /// once its majority is decided, so it may run fewer.
     pub trials: usize,
     /// Supervised re-attempts after a contained `enum_round` panic.
     pub retries: usize,
@@ -241,16 +245,20 @@ pub struct EnumeratedCex {
 /// The `[lo, hi]` bad-assignment count estimate of one property.
 #[derive(Clone, Debug)]
 pub struct CountEstimate {
-    /// Lower end (inclusive).
+    /// Lower end (inclusive; saturates at `2^62`, which keeps it a
+    /// lower bound).
     pub lo: u64,
-    /// Upper end (inclusive; saturates at `2^62`).
+    /// Upper end (inclusive). When the guaranteed upper end exceeds
+    /// `2^62` it does not fit, and `hi` is the sentinel
+    /// [`CountEstimate::HI_ABOVE_2_62`] instead.
     pub hi: u64,
     /// `true` if the count was established by exhaustive enumeration
     /// (`lo == hi`, ε and δ are zero).
     pub exact: bool,
     /// The XOR level `s*` at the SAT/UNSAT boundary (0 when exact).
     pub level: usize,
-    /// Solver trials per level.
+    /// Solver trials per level: the size of the majority vote. A level
+    /// stops once its majority is decided, so it may run fewer.
     pub trials: usize,
     /// Multiplicative slack: the bracket is
     /// `[2^s* / ε, 2^(s*+1) · ε]` (asymmetric because `s*` is the last
@@ -259,8 +267,17 @@ pub struct CountEstimate {
     pub epsilon: f64,
     /// Nominal probability the bracket misses, `0.5^trials` — the
     /// majority vote at each level must be wrong for the boundary to
-    /// be misplaced.
+    /// be misplaced. Stopping a vote once its majority is decided
+    /// leaves its outcome, and so δ, unchanged.
     pub delta: f64,
+}
+
+impl CountEstimate {
+    /// The [`CountEstimate::hi`] of a bracket whose upper end exceeds
+    /// `2^62`: `2^63 - 1`, read as "above `2^62`". It is never a power
+    /// of two, so it cannot be mistaken for a bracket end, and it fits
+    /// the writers that store counts as `i64`.
+    pub const HI_ABOVE_2_62: u64 = i64::MAX as u64;
 }
 
 /// The enumeration/counting outcome of one falsified property.
@@ -326,6 +343,7 @@ pub fn enumerate_report(
             // the unwind and the retry (and the next property) starts
             // from a fresh encoding.
             let mut bmc = warm.take().unwrap_or_else(|| {
+                let _span = opts.journal.span(Phase::Encode);
                 let mut b = Bmc::with_backend(sys, opts.backend);
                 b.set_journal(opts.journal.clone());
                 b
@@ -383,6 +401,14 @@ fn enumerate_one(
         count: None,
         faulted: false,
     };
+    // The property's first span also covers re-deriving its depth and
+    // projection set.
+    let first = if opts.enumerate {
+        Phase::Enum
+    } else {
+        Phase::Count
+    };
+    let mut span = opts.journal.span_labeled(first, name);
     // Re-derive the minimal counterexample depth: the recorded witness
     // is an upper bound (IC3 traces need not be shallowest), and the
     // canonical depth is what makes enumeration driver-independent.
@@ -398,9 +424,17 @@ fn enumerate_one(
         Projection::Latches => bmc.state_projection(d, &sys.latch_support(id)),
     };
     entry.projection_bits = projection.len();
+    // The counting probe's answer, when the enumeration round (on the
+    // same projection) already decides it: the round exhausted the
+    // set, or found at least as many raw witnesses as the probe
+    // would.
+    let mut probe = None;
     if opts.enumerate {
-        let _span = opts.journal.span_labeled(Phase::Enum, name);
         let round = bmc.enumerate_at(id, d, &projection, opts.max_cexes, Budget::unlimited());
+        let raw = round.cexes.len();
+        if round.exhausted || raw >= EXACT_LIMIT {
+            probe = Some((raw.min(EXACT_LIMIT), round.exhausted && raw < EXACT_LIMIT));
+        }
         entry.exhausted = round.exhausted;
         for (cex, bits) in round.cexes {
             match replay(sys, &cex.trace) {
@@ -417,10 +451,13 @@ fn enumerate_one(
             found: entry.cexes.len(),
             exhausted: entry.exhausted,
         });
+        if opts.count {
+            drop(span);
+            span = opts.journal.span_labeled(Phase::Count, name);
+        }
     }
     if opts.count {
-        let _span = opts.journal.span_labeled(Phase::Count, name);
-        let est = count_one(bmc, id, d, &projection, opts);
+        let est = count_one(bmc, id, d, &projection, probe, opts);
         opts.journal.event(EventKind::Counted {
             property: name.to_string(),
             lo: est.lo,
@@ -431,23 +468,31 @@ fn enumerate_one(
         });
         entry.count = Some(est);
     }
+    drop(span);
     entry
 }
 
 /// The MBound-style up-search: exact below [`EXACT_LIMIT`], otherwise
 /// the largest XOR level whose rounds stay majority-SAT, widened by
 /// [`SLACK`] powers of two each way.
+///
+/// `probe` is the exact-count probe's `(found, exhausted)` answer when
+/// the caller already has it; otherwise the probe runs here.
 fn count_one(
     bmc: &mut Bmc,
     id: PropertyId,
     d: usize,
     projection: &[Var],
+    probe: Option<(usize, bool)>,
     opts: &EnumOptions,
 ) -> CountEstimate {
     let trials = opts.trials.max(1);
-    let probe = bmc.enumerate_at(id, d, projection, EXACT_LIMIT, Budget::unlimited());
-    let found = probe.cexes.len() as u64;
-    if probe.exhausted {
+    let (found, exhausted) = probe.unwrap_or_else(|| {
+        let round = bmc.enumerate_at(id, d, projection, EXACT_LIMIT, Budget::unlimited());
+        (round.cexes.len(), round.exhausted)
+    });
+    let found = found as u64;
+    if exhausted {
         return CountEstimate {
             lo: found,
             hi: found,
@@ -459,11 +504,15 @@ fn count_one(
         };
     }
     let n = projection.len();
-    let pow = |e: usize| 1u64 << e.min(62);
     let mut boundary = 0usize;
     for s in 1..=n {
         let mut sat = 0usize;
         for t in 0..trials {
+            // Stop once the vote is decided. Every trial has its own
+            // constraint stream, so skipping one changes no other.
+            if sat * 2 > trials || (t - sat) * 2 >= trials {
+                break;
+            }
             let mut rng = SplitMix64::seed_from_u64(stream_seed(opts.seed, id.index(), s, t));
             let xors: Vec<(Vec<Var>, bool)> = (0..s)
                 .map(|_| {
@@ -489,8 +538,7 @@ fn count_one(
             break;
         }
     }
-    let lo = pow(boundary.saturating_sub(SLACK)).max(found);
-    let hi = pow((boundary + 1 + SLACK).min(n)).max(lo);
+    let (lo, hi) = bracket(boundary, n, found);
     CountEstimate {
         lo,
         hi,
@@ -500,6 +548,22 @@ fn count_one(
         epsilon: (1u64 << SLACK) as f64,
         delta: 0.5f64.powi(trials as i32),
     }
+}
+
+/// The `[lo, hi]` bracket of boundary level `boundary` over an `n`-bit
+/// projection set whose exact probe found `found` witnesses:
+/// `[2^(s*-SLACK), 2^(min(s*+1+SLACK, n))]`. An end past `2^62` does
+/// not fit: `lo` saturates at `2^62`, still a lower bound, and `hi`
+/// becomes [`CountEstimate::HI_ABOVE_2_62`].
+fn bracket(boundary: usize, n: usize, found: u64) -> (u64, u64) {
+    let lo = (1u64 << boundary.saturating_sub(SLACK).min(62)).max(found);
+    let e = (boundary + 1 + SLACK).min(n);
+    let hi = if e > 62 {
+        CountEstimate::HI_ABOVE_2_62
+    } else {
+        (1u64 << e).max(lo)
+    };
+    (lo, hi)
 }
 
 /// One SplitMix64 scramble keeps the per-(property, level, trial) XOR
@@ -524,6 +588,19 @@ mod tests {
             assert_eq!(p.name().parse::<Projection>(), Ok(p));
             assert_eq!(p.to_string(), p.name());
         }
+    }
+
+    #[test]
+    fn brackets_keep_their_guarantee_past_2_62() {
+        let found = EXACT_LIMIT as u64;
+        assert_eq!(bracket(16, 20, found), (1 << 14, 1 << 19));
+        assert_eq!(bracket(59, 62, found), (1 << 57, 1 << 62));
+        for (level, n) in [(60, 80), (85, 88)] {
+            let (lo, hi) = bracket(level, n, found);
+            assert_eq!(hi, CountEstimate::HI_ABOVE_2_62, "level {level} of {n}");
+            assert!(lo.is_power_of_two() && lo.ilog2() as usize <= level - SLACK);
+        }
+        assert!(!CountEstimate::HI_ABOVE_2_62.is_power_of_two());
     }
 
     #[test]

@@ -364,10 +364,17 @@ impl<'a> Bmc<'a> {
 
     /// Solves "`prop` fails at exactly depth `k`" under the given
     /// random parity constraints — one round of XOR-hash counting.
-    /// Each entry of `xors` is a variable subset with a target parity;
-    /// all of them are added guarded by one fresh activation literal
-    /// and retired before returning, so consecutive rounds never see
-    /// each other's constraints.
+    /// Each entry of `xors` is a variable subset with a target parity.
+    ///
+    /// The system is first Gauss–Jordan-reduced over GF(2), which
+    /// keeps its solution set, so the answer is the one the raw system
+    /// would give: an inconsistent system is UNSAT without a solve,
+    /// and a consistent one reaches the solver as its reduced rows,
+    /// each a pivot plus the free variables it depends on. The rows are
+    /// added guarded by one fresh activation literal, and the round
+    /// retires that literal and then every Tseitin auxiliary its
+    /// chains allocated, so consecutive rounds never see each other's
+    /// constraints and later solves never decide a dead auxiliary.
     pub fn solve_with_parity(
         &mut self,
         prop: PropertyId,
@@ -376,15 +383,25 @@ impl<'a> Bmc<'a> {
         budget: Budget,
     ) -> SolveResult {
         self.extend_to(k);
+        let Some(rows) = gauss_jordan(xors) else {
+            return SolveResult::Unsat;
+        };
         self.solver.set_budget(budget);
         let act = self.solver.new_var();
-        for (vars, parity) in xors {
+        let first_aux = self.solver.num_vars();
+        for (vars, parity) in &rows {
             self.solver.add_xor_guarded(act, vars, *parity);
         }
+        let aux = first_aux..self.solver.num_vars();
         let result = self
             .solver
             .solve(&[!self.good_lits[k][prop.index()], act.pos()]);
         self.solver.retire(act);
+        // Every clause an auxiliary occurs in carries `!act`, so with
+        // `act` retired any value of it is consistent.
+        for v in aux {
+            self.solver.retire(Var::new(v));
+        }
         self.solver.simplify();
         result
     }
@@ -415,10 +432,78 @@ impl<'a> Bmc<'a> {
     }
 }
 
+/// Reduces the parity system `xors` (each entry a variable set and the
+/// parity its XOR must take) to reduced row-echelon form over GF(2).
+/// Rows are bitsets over the distinct variables, with columns in
+/// variable-index order, so the result is deterministic.
+///
+/// Returns `None` if the system is inconsistent (some row reduces to
+/// `0 = 1`). Otherwise returns the non-zero rows, each one pivot
+/// variable (its first) plus the free variables it depends on; the
+/// rows have exactly the solutions of `xors`.
+fn gauss_jordan(xors: &[(Vec<Var>, bool)]) -> Option<Vec<(Vec<Var>, bool)>> {
+    let mut cols: Vec<Var> = xors
+        .iter()
+        .flat_map(|(vars, _)| vars.iter().copied())
+        .collect();
+    cols.sort_unstable();
+    cols.dedup();
+    let bit = |c: usize| (c / 64, 1u64 << (c % 64));
+    let mut rows: Vec<(Vec<u64>, bool)> = xors
+        .iter()
+        .map(|(vars, parity)| {
+            let mut row = vec![0u64; cols.len().div_ceil(64)];
+            for v in vars {
+                let (w, b) = bit(cols.binary_search(v).expect("every variable is a column"));
+                // A repeated variable cancels, as it does in the XOR.
+                row[w] ^= b;
+            }
+            (row, *parity)
+        })
+        .collect();
+    let mut rank = 0;
+    for c in 0..cols.len() {
+        let (w, b) = bit(c);
+        let Some(r) = (rank..rows.len()).find(|&r| rows[r].0[w] & b != 0) else {
+            continue;
+        };
+        rows.swap(rank, r);
+        let (pivot, parity) = rows[rank].clone();
+        for (i, (row, p)) in rows.iter_mut().enumerate() {
+            if i != rank && row[w] & b != 0 {
+                row.iter_mut().zip(&pivot).for_each(|(x, y)| *x ^= y);
+                *p ^= parity;
+            }
+        }
+        rank += 1;
+    }
+    // The rows past the rank are zero: `0 = 1` is a contradiction and
+    // `0 = 0` says nothing.
+    if rows[rank..].iter().any(|&(_, parity)| parity) {
+        return None;
+    }
+    rows.truncate(rank);
+    let reduced = rows
+        .into_iter()
+        .map(|(row, parity)| {
+            let vars = (0..cols.len())
+                .filter(|&c| {
+                    let (w, b) = bit(c);
+                    row[w] & b != 0
+                })
+                .map(|c| cols[c])
+                .collect();
+            (vars, parity)
+        })
+        .collect();
+    Some(reduced)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use japrove_aig::Aig;
+    use japrove_rng::SplitMix64;
     use japrove_tsys::{replay, Word};
 
     fn counter(bits: usize, limit: u64) -> (TransitionSystem, PropertyId) {
@@ -594,6 +679,119 @@ mod tests {
         );
         // Rounds retire their constraints: the plain query is still SAT.
         assert!(bmc.check_at(&[p], 1, Budget::unlimited()).is_cex());
+    }
+
+    /// Every solution of `xors` over variables `0..n`, as bitmasks.
+    fn solutions(n: u32, xors: &[(Vec<Var>, bool)]) -> Vec<u32> {
+        (0..1u32 << n)
+            .filter(|&m| {
+                xors.iter().all(|(vars, parity)| {
+                    vars.iter()
+                        .fold(false, |acc, v| acc ^ (m >> v.index() & 1 == 1))
+                        == *parity
+                })
+            })
+            .collect()
+    }
+
+    /// Each reduced row's first variable is its pivot and occurs in no
+    /// other row.
+    fn assert_reduced_shape(rows: &[(Vec<Var>, bool)], label: &str) {
+        for (i, (vars, _)) in rows.iter().enumerate() {
+            let pivot = vars.first().unwrap_or_else(|| panic!("{label}: empty row"));
+            for (j, (other, _)) in rows.iter().enumerate() {
+                assert!(i == j || !other.contains(pivot), "{label}: pivot reused");
+            }
+        }
+    }
+
+    #[test]
+    fn gauss_jordan_keeps_the_solution_set() {
+        let mut rng = SplitMix64::seed_from_u64(0x6a05);
+        let mut inconsistent = 0;
+        for case in 0..500 {
+            let n = rng.gen_index(1, 11) as u32;
+            let xors: Vec<(Vec<Var>, bool)> = (0..rng.gen_index(1, 13))
+                .map(|_| {
+                    let vars = (0..n).map(Var::new).filter(|_| rng.gen_bool()).collect();
+                    (vars, rng.gen_bool())
+                })
+                .collect();
+            let original = solutions(n, &xors);
+            match gauss_jordan(&xors) {
+                None => {
+                    assert!(
+                        original.is_empty(),
+                        "case {case}: solvable, reported inconsistent"
+                    );
+                    inconsistent += 1;
+                }
+                Some(rows) => {
+                    assert_eq!(solutions(n, &rows), original, "case {case}");
+                    assert_reduced_shape(&rows, &format!("case {case}"));
+                }
+            }
+        }
+        assert!(
+            inconsistent > 0,
+            "the cases must cover inconsistent systems"
+        );
+    }
+
+    #[test]
+    fn gauss_jordan_spans_several_words() {
+        // 150 columns need three bitset words. Every row is satisfied
+        // by a planted assignment, so the system is consistent and the
+        // reduced rows must keep the assignment a solution.
+        let mut rng = SplitMix64::seed_from_u64(0x150);
+        let planted: Vec<bool> = (0..150).map(|_| rng.gen_bool()).collect();
+        let mut xors: Vec<(Vec<Var>, bool)> = (0..120)
+            .map(|_| {
+                let idx: Vec<u32> = (0..150).filter(|_| rng.gen_bool()).collect();
+                let parity = idx.iter().fold(false, |acc, &i| acc ^ planted[i as usize]);
+                (idx.into_iter().map(Var::new).collect(), parity)
+            })
+            .collect();
+        let rows = gauss_jordan(&xors).expect("a planted system is consistent");
+        assert_reduced_shape(&rows, "planted");
+        for (vars, parity) in &rows {
+            let value = vars
+                .iter()
+                .fold(false, |acc, v| acc ^ planted[v.index() as usize]);
+            assert_eq!(value, *parity, "the planted assignment solves every row");
+        }
+        // The sum of two rows with the wrong parity contradicts them.
+        let mut sum: Vec<Var> = xors[0].0.clone();
+        sum.extend(&xors[1].0);
+        xors.push((sum, !(xors[0].1 ^ xors[1].1)));
+        assert!(gauss_jordan(&xors).is_none());
+    }
+
+    #[test]
+    fn parity_rounds_retire_their_auxiliaries() {
+        let (sys, p) = loadable(3, 0); // all 8 states bad
+        let mut bmc = Bmc::new(&sys);
+        let v = bmc.state_projection(1, &[0, 1, 2]);
+        let mut decisions = Vec::new();
+        for round in 0..200u32 {
+            // A consistent rank-2 system: both reduced rows keep two
+            // variables, so every round allocates Tseitin auxiliaries.
+            let (a, b) = (round & 1 == 1, round & 2 == 2);
+            let xors = vec![
+                (vec![v[0], v[1]], a),
+                (vec![v[1], v[2]], b),
+                (vec![v[0], v[2]], a ^ b),
+            ];
+            let before = bmc.solver.stats().decisions;
+            assert_eq!(
+                bmc.solve_with_parity(p, 1, &xors, Budget::unlimited()),
+                SolveResult::Sat
+            );
+            decisions.push(bmc.solver.stats().decisions - before);
+        }
+        // Unretired auxiliaries would be decided again by every later
+        // round, so the count would grow with the round number.
+        assert!(decisions[199] <= decisions[0] + 4, "{decisions:?}");
     }
 
     #[test]

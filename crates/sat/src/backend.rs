@@ -128,6 +128,13 @@ pub trait SatBackend: fmt::Debug + Send {
     /// constraint — the mechanism XOR-hash counting uses to add and
     /// drop one round's random parity constraints on a warm solver.
     ///
+    /// The auxiliaries are the variables allocated by this call. They
+    /// occur only in clauses guarded by `act` and in learnt clauses
+    /// derived from them, and all of those contain `!act`. Once `act`
+    /// is retired, any value of an auxiliary is consistent, so a caller
+    /// may retire the auxiliaries too and keep later solves from
+    /// deciding them.
+    ///
     /// An empty `vars` set has XOR value `false`: with `parity ==
     /// true` the constraint is unsatisfiable under `act` (encoded as
     /// the guarded empty clause, i.e. the unit `!act`).

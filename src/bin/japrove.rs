@@ -8,8 +8,8 @@
 
 use japrove::core::{
     enumerate_report, grouped_verify, local_assumptions, mine_verify, validate_debugging_set,
-    ClusteredOptions, EnumOptions, GroupingOptions, JointOptions, MultiReport, Projection,
-    SeparateOptions, Session, VerdictCache,
+    ClusteredOptions, CountEstimate, EnumOptions, GroupingOptions, JointOptions, MultiReport,
+    Projection, SeparateOptions, Session, VerdictCache,
 };
 use japrove::ic3::Lifting;
 use japrove::mine::MineOptions;
@@ -497,9 +497,14 @@ fn print_enumerations(cli: &Cli, report: &MultiReport) {
                     e.name, c.lo, e.projection
                 );
             } else {
+                let hi = if c.hi == CountEstimate::HI_ABOVE_2_62 {
+                    ">2^62".to_string()
+                } else {
+                    c.hi.to_string()
+                };
                 println!(
                     "counted {}: [{}, {}] bad {} assignments (level {}, {} trials, eps={}, delta={})",
-                    e.name, c.lo, c.hi, e.projection, c.level, c.trials, c.epsilon, c.delta
+                    e.name, c.lo, hi, e.projection, c.level, c.trials, c.epsilon, c.delta
                 );
             }
         }

@@ -224,47 +224,77 @@ fn holding_designs_enumerate_nothing() {
     assert!(report.enumerations.is_empty());
 }
 
+/// The boundary level of seeds `0..20` on `loadable(7, 37)`, per
+/// projection. Every change to the counting rounds must reproduce them:
+/// the reduction, the retired auxiliaries, the early majority stop and
+/// the reused probe each leave every round's SAT/UNSAT answer as it was.
+const LATCH_LEVELS: [usize; 20] = [4, 4, 4, 4, 7, 7, 7, 7, 7, 5, 7, 7, 6, 6, 6, 6, 6, 6, 7, 6];
+const INPUT_LEVELS: [usize; 20] = [
+    13, 13, 13, 14, 13, 13, 13, 13, 14, 14, 14, 14, 14, 14, 14, 13, 12, 13, 13, 11,
+];
+
 #[test]
 fn xor_count_brackets_truth_on_every_seed_deterministically() {
     // 128 reachable states at depth 1, of which 128 - 37 = 91 violate
     // `w < 37`; 37 is odd so the comparison cone keeps all 7 latches in
     // the projection. 91 distinct bad states is past the exact-probe
-    // limit, forcing the XOR up-search.
+    // limit, forcing the XOR up-search. The inputs projection spans
+    // both frames' 7 input bits: the frame-1 inputs are free, so
+    // 91 * 128 stimuli fail.
     let sys = loadable(7, 37);
     let p = sys.property_ids().next().unwrap();
-    let truth = 91u64;
-    let (_, _, latches_oracle) = brute_force(&sys, p, 2).expect("fails");
-    assert_eq!(latches_oracle.len() as u64, truth, "oracle sanity");
+    let (_, inputs_oracle, latches_oracle) = brute_force(&sys, p, 2).expect("fails");
+    assert_eq!(latches_oracle.len(), 91, "oracle sanity");
+    assert_eq!(inputs_oracle.len(), 91 * 128, "oracle sanity");
     let report = ja_verify(&sys, &SeparateOptions::local());
     assert_eq!(report.num_false(), 1);
-    for seed in 0..20u64 {
-        let opts = EnumOptions::new()
-            .count(true)
-            .projection(Projection::Latches)
-            .seed(seed);
-        let runs: Vec<_> = (0..2)
-            .map(|_| {
-                let enums = enumerate_report(&sys, &report, &opts);
-                assert_eq!(enums.len(), 1, "seed {seed}");
-                enums.into_iter().next().unwrap()
-            })
-            .collect();
-        let a = runs[0].count.as_ref().expect("count requested");
-        let b = runs[1].count.as_ref().expect("count requested");
-        assert!(!a.exact, "seed {seed}: must take the XOR path");
-        assert!(
-            a.lo <= truth && truth <= a.hi,
-            "seed {seed}: truth {truth} outside [{}, {}] (level {})",
-            a.lo,
-            a.hi,
-            a.level
-        );
-        assert!(
-            a.epsilon >= 1.0 && a.delta > 0.0 && a.delta < 1.0,
-            "seed {seed}"
-        );
-        // Same seed, same bracket — the constraint streams are pure
-        // functions of (seed, property, level, trial).
-        assert_eq!((a.lo, a.hi, a.level), (b.lo, b.hi, b.level), "seed {seed}");
+    for (projection, oracle, levels) in [
+        (Projection::Latches, &latches_oracle, LATCH_LEVELS),
+        (Projection::Inputs, &inputs_oracle, INPUT_LEVELS),
+    ] {
+        let truth = oracle.len() as u64;
+        for (seed, &level) in levels.iter().enumerate() {
+            let pinned = match projection {
+                Projection::Latches => (32, 128, level),
+                Projection::Inputs => (1 << (level - 2), 1 << 14, level),
+            };
+            // Counting alone runs the exact-count probe; enumerating
+            // first (64 witnesses, past the probe's limit) lets the
+            // count reuse the enumeration round instead.
+            for enumerate in [false, true] {
+                let label = format!("{projection} seed {seed} enumerate={enumerate}");
+                let opts = EnumOptions::new()
+                    .enumerate(enumerate)
+                    .count(true)
+                    .max_cexes(64)
+                    .projection(projection)
+                    .seed(seed as u64);
+                let runs: Vec<_> = (0..2)
+                    .map(|_| {
+                        let enums = enumerate_report(&sys, &report, &opts);
+                        assert_eq!(enums.len(), 1, "{label}");
+                        enums.into_iter().next().unwrap()
+                    })
+                    .collect();
+                let a = runs[0].count.as_ref().expect("count requested");
+                let b = runs[1].count.as_ref().expect("count requested");
+                assert!(!a.exact, "{label}: must take the XOR path");
+                assert!(
+                    a.lo <= truth && truth <= a.hi,
+                    "{label}: truth {truth} outside [{}, {}] (level {})",
+                    a.lo,
+                    a.hi,
+                    a.level
+                );
+                assert!(
+                    a.epsilon >= 1.0 && a.delta > 0.0 && a.delta < 1.0,
+                    "{label}"
+                );
+                // Same seed, same bracket — the constraint streams are
+                // pure functions of (seed, property, level, trial).
+                assert_eq!((a.lo, a.hi, a.level), (b.lo, b.hi, b.level), "{label}");
+                assert_eq!((a.lo, a.hi, a.level), pinned, "{label}");
+            }
+        }
     }
 }

@@ -4,10 +4,10 @@
 //! its phase vocabulary.
 
 use japrove::core::{
-    ja_verify, joint_verify, parallel_clustered_verify, ClusteredOptions, JointOptions,
-    SeparateOptions,
+    enumerate_report, ja_verify, joint_verify, parallel_clustered_verify, ClusteredOptions,
+    EnumOptions, JointOptions, Projection, SeparateOptions,
 };
-use japrove::genbench::FamilyParams;
+use japrove::genbench::{resolve_spec, FamilyParams};
 use japrove::obs::journal::parse_jsonl;
 use japrove::obs::metrics::{phase_breakdown, top_level_span_us};
 use japrove::obs::{Event, EventKind, Journal, Phase};
@@ -88,6 +88,85 @@ fn clustered_spans_cover_wall_clock() {
     assert!(seen.contains(&Phase::JointAttempt), "no joint attempt ran");
     let plans = seen.iter().filter(|&&p| p == Phase::Plan).count();
     assert_eq!(plans, 1, "a clustered run plans exactly once");
+}
+
+/// The enumeration pass builds its own unrolling and re-derives each
+/// falsified property's minimal depth before enumerating. With the JA
+/// check it follows, the top-level spans must again cover 95% of the
+/// run span, and the pass's own spans 95% of the pass.
+#[test]
+fn enumeration_spans_cover_wall_clock() {
+    let _serial = serial();
+    let sys = resolve_spec("syn_6s104")
+        .expect("known family")
+        .generate()
+        .sys;
+    let journal = Journal::new();
+    let opts = EnumOptions::new()
+        .enumerate(true)
+        .count(true)
+        .max_cexes(64)
+        .projection(Projection::Inputs)
+        .journal(journal.clone());
+    let (enums, pass_wall) = {
+        let _run = journal.span(Phase::Run);
+        let report = ja_verify(&sys, &SeparateOptions::local().journal(journal.clone()));
+        let started = std::time::Instant::now();
+        let enums = enumerate_report(&sys, &report, &opts);
+        (enums, started.elapsed())
+    };
+    assert!(!enums.is_empty(), "syn_6s104 falsifies some property");
+
+    let events = journal.events();
+    let (run_id, run_us) = events
+        .iter()
+        .find_map(|e| match e.kind {
+            EventKind::Span {
+                phase: Phase::Run,
+                id,
+                dur_us,
+                ..
+            } => Some((id, dur_us)),
+            _ => None,
+        })
+        .expect("one run span");
+    let covered = top_level_span_us(&events);
+    assert!(
+        covered as f64 >= 0.95 * run_us as f64,
+        "phase spans cover {covered} us of the {run_us} us run span"
+    );
+    // The same bar on the enumeration pass alone: its top-level spans
+    // are those that start once the JA check's last property span ends.
+    let ja_end = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Span {
+                phase: Phase::Property,
+                dur_us,
+                ..
+            } => Some(e.ts_us + dur_us),
+            _ => None,
+        })
+        .max()
+        .expect("JA property spans");
+    let pass_covered: u64 = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Span { dur_us, .. } if e.span == Some(run_id) && e.ts_us >= ja_end => {
+                Some(dur_us)
+            }
+            _ => None,
+        })
+        .sum();
+    let pass_us = pass_wall.as_micros() as u64;
+    assert!(
+        pass_covered as f64 >= 0.95 * pass_us as f64,
+        "enumeration spans cover {pass_covered} us of the {pass_us} us pass"
+    );
+    let seen = phases(&events);
+    for expected in [Phase::Encode, Phase::Enum, Phase::Count] {
+        assert!(seen.contains(&expected), "missing {expected:?} span");
+    }
 }
 
 /// Whatever a real run emits must survive the strict JSONL schema —
