@@ -60,7 +60,8 @@ pub enum Phase {
     /// consultation, clustering and hardest-first unit ordering by
     /// COI size.
     Plan,
-    /// Building the shared CNF encoding of the design.
+    /// Building the shared CNF encoding of the design, or the BMC
+    /// unrolling the enumeration pass shares across properties.
     Encode,
     /// Clustering in the Plan stage of clustered runs: scoring every
     /// property pair and agglomerating the scores into clusters. The
@@ -85,9 +86,13 @@ pub enum Phase {
     /// A joint k-induction check (mining's promotion stage, or any
     /// direct `KInduction` use).
     Induction,
-    /// One property's counterexample-enumeration round (post-verdict).
+    /// One property's counterexample-enumeration round (post-verdict),
+    /// including the re-derivation of its minimal counterexample depth
+    /// and projection set.
     Enum,
     /// One property's XOR-hash bad-state counting round (post-verdict).
+    /// When enumeration is off, it also covers the depth and projection
+    /// re-derivation.
     Count,
 }
 

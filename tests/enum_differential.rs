@@ -13,7 +13,7 @@
 //! The XOR-hash counter gets the statistical treatment instead: over
 //! many fixed seeds its `[lo, hi]` bracket must contain the true count
 //! (well within the recorded (ε, δ) failure budget), and each seed
-//! must be perfectly reproducible.
+//! must be perfectly reproducible and give its pinned bracket.
 
 use japrove::aig::{Aig, Simulator};
 use japrove::core::{
