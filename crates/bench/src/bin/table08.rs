@@ -4,6 +4,10 @@
 //! The paper's effect: both versions are comparable on failing
 //! designs; ignoring constraints may produce spurious counterexamples
 //! that force a constrained re-run (counted in the "retries" column).
+//! Retries are rare here: each property is checked on its cone first,
+//! and a cone counterexample that replays without breaking an assumed
+//! property is already a local counterexample. Only the full-design
+//! fallback can need a re-run.
 
 use japrove_bench::{fmt_time, limits, Table};
 use japrove_core::{separate_verify, SeparateOptions};

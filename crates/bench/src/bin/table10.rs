@@ -14,7 +14,7 @@
 
 use japrove_bench::{fmt_time, write_json, Json, Table};
 use japrove_core::Scope;
-use japrove_core::{local_assumptions, ClauseDb, SeparateOptions};
+use japrove_core::{local_assumptions, SeparateOptions};
 use japrove_genbench::probe_spec;
 use japrove_sat::BackendChoice;
 use japrove_tsys::PropertyId;
@@ -55,7 +55,6 @@ fn main() -> ExitCode {
             "local time",
         ],
     );
-    let db = ClauseDb::new(); // never published to: no clause exchange
     let assumed = local_assumptions(sys);
     let mut rows: Vec<Json> = Vec::new();
     for &backend in BackendChoice::ALL {
@@ -67,7 +66,6 @@ fn main() -> ExitCode {
                 sys,
                 id,
                 &[],
-                &db,
                 &SeparateOptions::global().backend(backend),
                 None,
             );
@@ -75,7 +73,6 @@ fn main() -> ExitCode {
                 sys,
                 id,
                 &assumed,
-                &db,
                 &SeparateOptions::local().backend(backend),
                 None,
             );

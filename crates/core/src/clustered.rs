@@ -36,7 +36,9 @@
 //!
 //! Under [`Scope::Local`](crate::Scope::Local) the joint attempt is skipped (aggregate
 //! verdicts are global by construction) and the driver becomes
-//! JA-verification with cluster-scoped clause locality.
+//! JA-verification scheduled by cluster: every member gets the
+//! cone-first local check, re-using the run's proofs clause by clause
+//! over its cone.
 
 use crate::{JointOptions, MultiReport, SeparateOptions, Session};
 use japrove_ic3::Ic3Options;
@@ -58,8 +60,8 @@ const DEFAULT_JOINT_CONFLICTS: u64 = 20_000;
 /// The proof scope of [`ClusteredOptions::separate`] is honored:
 /// [`Scope::Global`](crate::Scope::Global) (the default) yields globally valid verdicts
 /// comparable to `joint`/`grouped`; [`Scope::Local`](crate::Scope::Local) turns the driver
-/// into JA-verification with cluster-scoped clause re-use (and skips
-/// the joint attempt, whose aggregate verdicts would be global). The
+/// into JA-verification scheduled by cluster (and skips the joint
+/// attempt, whose aggregate verdicts would be global). The
 /// `order` field of the embedded options is ignored — clusters define
 /// the schedule.
 ///

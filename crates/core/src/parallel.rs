@@ -1,8 +1,9 @@
 //! Parallel separate verification (§11).
 //!
 //! Properties are independent jobs under separate verification, so
-//! they can be farmed out to worker threads; the shared [`ClauseDb`]
-//! provides the (optional) exchange of strengthening clauses. The
+//! they can be farmed out to worker threads; the run's shared proof
+//! ledger (local scope) or [`ClauseDb`] (global scope) provides the
+//! (optional) exchange of strengthening clauses. The
 //! paper argues that the larger the property set, the *less*
 //! information exchange matters — local proofs get easier with more
 //! constraints — which is what makes the parallelization embarrassing.
@@ -122,9 +123,9 @@ impl Dispatcher {
 /// Behaviourally equivalent to [`crate::separate_verify`] with the
 /// same options (same verdicts) — in particular [`Scope::Global`](crate::Scope::Global) is
 /// honored, not silently downgraded to local proofs; clause re-use
-/// becomes best-effort: each property sees the clauses published
-/// before its own run started, plus any it picks up from the shared
-/// store while running.
+/// becomes best-effort: each property sees the clauses proved before
+/// its own run started, plus, under global scope, any it picks up
+/// from the shared store while running.
 ///
 /// # Panics
 ///

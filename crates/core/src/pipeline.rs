@@ -12,8 +12,10 @@
 //! * **Dispatch** — hand units to workers: hardest-first work-stealing
 //!   deques ([`Dispatcher`]), or a plain in-order walk for the
 //!   sequential drivers;
-//! * **Solve** — run each unit on a warm [`CtxPool`] with clause
-//!   re-use wired through [`ClauseDb`]/[`TwoLevelSource`];
+//! * **Solve** — run each unit: local-scope checks cone-first, with
+//!   clause re-use through the run's [`ProofLedger`]; global-scope
+//!   checks on a warm [`CtxPool`], with clause re-use wired through
+//!   [`ClauseDb`]/[`TwoLevelSource`];
 //! * **Report** — restore the caller-visible result order, write fresh
 //!   verdicts back to the cache, stamp totals.
 //!
@@ -36,15 +38,15 @@ use crate::affinity::affinity_clusters;
 use crate::cluster::latch_supports;
 use crate::joint::{aggregate_system, falsified_by_replay};
 use crate::parallel::Dispatcher;
-use crate::separate::{check_one, check_one_imports, local_assumptions, CtxPool};
+use crate::separate::{check_one, local_assumptions, CtxPool, Reuse};
 use crate::verdict_cache::{CacheEntry, VerdictCache};
 use crate::{
     ClauseDb, ClusteredOptions, JointOptions, MultiReport, PropertyResult, Scope, SeparateOptions,
     TwoLevelSource,
 };
 use japrove_ic3::{
-    verify_certificate, Bmc, BmcResult, Certificate, CheckOutcome, ClauseSource, Counterexample,
-    Ic3, RunStats, TsEncoding, UnknownReason,
+    verify_certificate, Bmc, BmcResult, Certificate, CheckOutcome, Counterexample, Ic3, RunStats,
+    TsEncoding, UnknownReason,
 };
 use japrove_logic::{Clause, Var};
 use japrove_obs::{EventKind, Journal, Phase};
@@ -78,6 +80,9 @@ pub struct Plan {
     /// `order`-override) order, cached members included — the report
     /// stage restores this order.
     order: Vec<PropertyId>,
+    /// Every property's latch support: the unit weights, and the cones
+    /// local checks run on.
+    supports: Vec<Vec<usize>>,
 }
 
 impl Plan {
@@ -317,6 +322,7 @@ impl Session {
             units,
             cached,
             order,
+            supports,
         }
     }
 
@@ -337,7 +343,7 @@ impl Session {
             }
             SessionKind::Clustered(opts) => run_clustered(sys, self.threads, opts, &plan),
         };
-        self.supervise_retries(sys, started, &mut report);
+        self.supervise_retries(sys, &plan, started, &mut report);
         if self.verdicts_are_global() {
             if let Some(cache) = &mut self.cache {
                 for r in &report.results {
@@ -365,6 +371,7 @@ impl Session {
     fn supervise_retries(
         &self,
         sys: &TransitionSystem,
+        plan: &Plan,
         started: Instant,
         report: &mut MultiReport,
     ) {
@@ -409,13 +416,21 @@ impl Session {
                 let mut opts = base.clone();
                 opts.per_property = None;
                 opts.property_timeout = escalated;
-                let db = ClauseDb::new();
                 let mut pool = {
                     let _enc_span = opts.journal.span(Phase::Encode);
                     CtxPool::new(sys)
                 };
                 pool.set_journal(opts.journal.clone());
-                let mut result = check_one(sys, id, &assumed, &db, &opts, deadline, &mut pool);
+                let mut result = check_one(
+                    sys,
+                    id,
+                    &assumed,
+                    &plan.supports,
+                    Reuse::Off,
+                    &opts,
+                    deadline,
+                    &mut pool,
+                );
                 result.retried = true;
                 let settled = !needs_retry(&result);
                 report.results[i] = result;
@@ -501,15 +516,50 @@ fn run_workers<T: Send>(
     })
 }
 
+/// The clause re-use of a separate or parallel run (§6): the proof
+/// ledger under local scope, the clause store under global scope.
+enum RunStore {
+    Off,
+    Ledger(ProofLedger),
+    Db(ClauseDb),
+}
+
+impl RunStore {
+    fn new(opts: &SeparateOptions) -> RunStore {
+        match (opts.reuse, opts.scope) {
+            (false, _) => RunStore::Off,
+            (true, Scope::Local) => RunStore::Ledger(ProofLedger::default()),
+            (true, Scope::Global) => RunStore::Db(ClauseDb::new()),
+        }
+    }
+
+    /// The re-use of the next check.
+    fn reuse(&self) -> Reuse<'_> {
+        match self {
+            RunStore::Off => Reuse::Off,
+            RunStore::Ledger(ledger) => Reuse::Ledger(ledger),
+            RunStore::Db(db) => Reuse::from_db(db),
+        }
+    }
+
+    /// Publishes a global proof to the store. A local proof has already
+    /// recorded itself in the ledger, inside its check.
+    fn publish(&self, result: &PropertyResult) {
+        if let (RunStore::Db(db), CheckOutcome::Proved(cert)) = (self, &result.outcome) {
+            db.publish(cert.clauses.iter().cloned());
+        }
+    }
+}
+
 /// The sequential separate driver: caller-order walk, warm pool,
-/// clause re-use through the shared store.
+/// clause re-use through the run's store.
 fn run_separate(sys: &TransitionSystem, opts: &SeparateOptions, plan: &Plan) -> MultiReport {
     let deadline = opts.total.map(|d| Instant::now() + d);
     let assumed = match opts.scope {
         Scope::Local => local_assumptions(sys),
         Scope::Global => Vec::new(),
     };
-    let db = ClauseDb::new();
+    let store = RunStore::new(opts);
     let method = match (opts.scope, opts.reuse) {
         (Scope::Local, true) => "ja-verification",
         (Scope::Local, false) => "ja-verification (no reuse)",
@@ -533,19 +583,20 @@ fn run_separate(sys: &TransitionSystem, opts: &SeparateOptions, plan: &Plan) -> 
             report.results.push(budget_expired(sys, id, opts));
             continue;
         }
-        let result = check_one(sys, id, &assumed, &db, opts, deadline, &mut pool);
-        publish_if_proved(&db, opts, &result);
+        let result = check_one(
+            sys,
+            id,
+            &assumed,
+            &plan.supports,
+            store.reuse(),
+            opts,
+            deadline,
+            &mut pool,
+        );
+        store.publish(&result);
         report.results.push(result);
     }
     report
-}
-
-fn publish_if_proved(db: &ClauseDb, opts: &SeparateOptions, result: &PropertyResult) {
-    if opts.reuse {
-        if let CheckOutcome::Proved(cert) = &result.outcome {
-            db.publish(cert.clauses.iter().cloned());
-        }
-    }
 }
 
 /// The parallel separate driver: one shared encoding, warm per-worker
@@ -568,7 +619,7 @@ fn run_parallel(
         Scope::Local => local_assumptions(sys),
         Scope::Global => Vec::new(),
     };
-    let db = ClauseDb::new();
+    let store = RunStore::new(opts);
     let order = &plan.order;
     let pos_of: HashMap<PropertyId, usize> =
         order.iter().enumerate().map(|(i, &p)| (p, i)).collect();
@@ -598,8 +649,17 @@ fn run_parallel(
             pool.set_journal(opts.journal.clone());
             let mut mine = Vec::new();
             while let Some(i) = dispatcher.pop(w) {
-                let result = check_one(sys, order[i], &assumed, &db, opts, deadline, &mut pool);
-                publish_if_proved(&db, opts, &result);
+                let result = check_one(
+                    sys,
+                    order[i],
+                    &assumed,
+                    &plan.supports,
+                    store.reuse(),
+                    opts,
+                    deadline,
+                    &mut pool,
+                );
+                store.publish(&result);
                 mine.push((i, result));
             }
             mine
@@ -850,9 +910,9 @@ fn run_clustered(
 
     let workers = threads.min(units.len());
     let mut results: Vec<PropertyResult> = plan.cached.clone();
-    // Seeds for the joint attempts: global proofs only, and only when
-    // clause re-use is on.
-    let ledger = (opts.separate.reuse && opts.separate.scope == Scope::Global).then(|| {
+    // The run's proofs, when clause re-use is on: seeds for the joint
+    // attempts under global scope, for every check under local scope.
+    let ledger = opts.separate.reuse.then(|| {
         let ledger = ProofLedger::default();
         for r in &results {
             if let CheckOutcome::Proved(cert) = &r.outcome {
@@ -881,6 +941,7 @@ fn run_clustered(
                     &units[c].members,
                     opts,
                     &assumed,
+                    &plan.supports,
                     &global_db,
                     ledger.as_ref(),
                     deadline,
@@ -922,7 +983,7 @@ fn run_clustered(
 /// Sound because the kept latches evolve identically in both systems,
 /// so a clause holding in every reachable reduced state holds in every
 /// reachable original state.
-fn lift_certificate(cert: &Certificate, map: &CoiMap) -> Certificate {
+pub(crate) fn lift_certificate(cert: &Certificate, map: &CoiMap) -> Certificate {
     Certificate {
         clauses: cert
             .clauses
@@ -938,19 +999,25 @@ fn lift_certificate(cert: &Certificate, map: &CoiMap) -> Certificate {
 
 /// Materializes a reduced-system counterexample on the original
 /// design: lift the input vectors, complete the trace by simulation,
-/// and confirm by replay that it still falsifies `id`. `None` (never
-/// expected — the kept cone behaves identically) sends the property to
-/// the per-property fallback instead of trusting a bad trace.
-fn lift_counterexample(
+/// and confirm by replay that it still falsifies `id` and violates no
+/// `assumed` property before its final state (pass `&[]` for a global
+/// verdict). `None` sends the property to the full-design check
+/// instead of trusting the trace: for a global verdict that is never
+/// expected (the kept cone behaves identically), for a local one the
+/// trace may break an assumption outside the cone.
+pub(crate) fn lift_counterexample(
     sys: &TransitionSystem,
     map: &CoiMap,
     id: PropertyId,
+    assumed: &[PropertyId],
     cex: &Counterexample,
 ) -> Option<Counterexample> {
     let inputs = map.lift_inputs(cex.trace.inputs());
     let trace = complete_trace(sys, inputs);
-    let violates = replay(sys, &trace).is_ok_and(|r| r.violates_finally(id));
-    violates.then_some(Counterexample {
+    let valid = replay(sys, &trace).is_ok_and(|r| {
+        r.violates_finally(id) && !crate::separate::breaks_assumption_early(&r, assumed)
+    });
+    valid.then_some(Counterexample {
         depth: cex.depth,
         trace,
     })
@@ -959,64 +1026,129 @@ fn lift_counterexample(
 /// One certificate of the [`ProofLedger`], in original latch
 /// coordinates.
 struct LedgerEntry {
+    /// The certificate's own clauses: a global certificate whole, a
+    /// local one without the clauses it was seeded with.
     clauses: Arc<[Clause]>,
     /// The latches the clauses mention, ascending.
     support: Vec<usize>,
+    /// The entries the local check behind this one took seed clauses
+    /// from: every entry below `imports_below` (a full-design check
+    /// imports the whole ledger), plus `imports`.
+    imports_below: usize,
+    imports: Vec<usize>,
 }
 
-/// The whole certificates a clustered run has proved so far, shared by
-/// its workers: one entry per Proved fallback check and one per
-/// successful joint attempt, however many members it decided.
+/// The certificates a run has proved so far, shared by its workers
+/// behind one mutex. Two consumers read it, with two rules.
 ///
-/// A joint attempt starts from every entry whose support lies inside
-/// its cluster's cone. Entries are whole certificates, never clauses
-/// picked one by one: a conjunction of inductive invariants is
-/// inductive, and one that mentions only cone latches stays inductive
-/// on the cone reduction, whose latches evolve exactly as they do in
-/// the full design. The attempt's own certificate includes its imports,
-/// so it re-verifies on the original design. A clause-by-clause
-/// projection of the clause store would keep verdicts sound but break
-/// that: the projected set need not be inductive.
+/// *Whole-entry seeding* ([`ProofLedger::seed`], clustered joint
+/// attempts under global scope): an attempt starts from every entry
+/// whose support lies inside its cluster's cone. Entries are whole
+/// certificates there, never clauses picked one by one: a conjunction
+/// of inductive invariants is inductive, and one that mentions only
+/// cone latches stays inductive on the cone reduction, whose latches
+/// evolve exactly as they do in the full design. The attempt's own
+/// certificate includes its imports, so it re-verifies on the original
+/// design.
+///
+/// *Clause seeding, closed over certificates* ([`ProofLedger::cone_seed`],
+/// [`ProofLedger::full_seed`] and [`ProofLedger::close`], local
+/// checks): a cone check starts from every ledger clause over the
+/// cone's latches. That seed need not be inductive on the cone, so the
+/// check's own clauses are only inductive relative to it. Its
+/// certificate is therefore closed: its own clauses plus the full
+/// certificate of every entry a seed clause came from, transitively.
+/// Each member of that union is inductive relative to the union under
+/// a subset of the ETH properties, so the union is an inductive
+/// invariant under the full ETH set: exactly what a local proof needs.
 #[derive(Default)]
-struct ProofLedger {
+pub(crate) struct ProofLedger {
     entries: Mutex<Vec<LedgerEntry>>,
 }
 
+/// Seed clauses a local check took from the [`ProofLedger`], with the
+/// entries they came from (needed to close its certificate).
+pub(crate) struct LedgerSeed {
+    /// The seed, normalized and deduplicated, in the coordinates of the
+    /// system the check runs on.
+    pub(crate) clauses: Vec<Clause>,
+    imports_below: usize,
+    imports: Vec<usize>,
+}
+
+impl LedgerSeed {
+    /// The clauses of `cert` that are not seed clauses: what the check
+    /// proved itself.
+    pub(crate) fn own(&self, cert: &Certificate) -> Certificate {
+        let seeded: HashSet<&Clause> = self.clauses.iter().collect();
+        let clauses = cert
+            .clauses
+            .iter()
+            .filter(|c| c.normalized().is_some_and(|n| !seeded.contains(&n)))
+            .cloned()
+            .collect();
+        Certificate { clauses }
+    }
+}
+
+/// The sorted, deduplicated latch indices a clause set mentions.
+fn clause_support(clauses: &[Clause]) -> Vec<usize> {
+    let mut support: Vec<usize> = clauses
+        .iter()
+        .flat_map(|c| c.lits().iter().map(|l| l.var().index() as usize))
+        .collect();
+    support.sort_unstable();
+    support.dedup();
+    support
+}
+
+/// Maps original latch indices to the reduced indices of the cone `map`
+/// keeps (`None` outside the cone).
+fn reduced_latches(map: &CoiMap, num_latches: usize) -> Vec<Option<u32>> {
+    let mut reduced_of = vec![None; num_latches];
+    for (r, &o) in map.latches.iter().enumerate() {
+        reduced_of[o] = Some(r as u32);
+    }
+    reduced_of
+}
+
+/// `clause` in reduced coordinates, or `None` if it mentions a latch
+/// outside the cone.
+fn reduce_clause(clause: &Clause, reduced_of: &[Option<u32>]) -> Option<Clause> {
+    let lits: Option<Vec<_>> = clause
+        .lits()
+        .iter()
+        .map(|l| reduced_of[l.var().index() as usize].map(|r| Var::new(r).lit(l.is_negated())))
+        .collect();
+    Some(Clause::from_lits(lits?))
+}
+
 impl ProofLedger {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<LedgerEntry>> {
+        // A push either happens or not: a poisoned ledger is intact.
+        self.entries.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Adds a global certificate (original coordinates).
-    fn record(&self, cert: &Certificate) {
+    pub(crate) fn record(&self, cert: &Certificate) {
         if cert.clauses.is_empty() {
             return;
         }
-        let mut support: Vec<usize> = cert
-            .clauses
-            .iter()
-            .flat_map(|c| c.lits().iter().map(|l| l.var().index() as usize))
-            .collect();
-        support.sort_unstable();
-        support.dedup();
         let entry = LedgerEntry {
+            support: clause_support(&cert.clauses),
             clauses: cert.clauses.clone().into(),
-            support,
+            imports_below: 0,
+            imports: Vec::new(),
         };
-        // A push either happens or not: a poisoned ledger is intact.
-        self.entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(entry);
+        self.lock().push(entry);
     }
 
     /// The union of the entries whose support lies inside the cone
     /// `map` keeps, deduplicated and remapped to reduced coordinates.
     fn seed(&self, map: &CoiMap, num_latches: usize) -> Vec<Clause> {
-        let mut reduced_of: Vec<Option<u32>> = vec![None; num_latches];
-        for (r, &o) in map.latches.iter().enumerate() {
-            reduced_of[o] = Some(r as u32);
-        }
+        let reduced_of = reduced_latches(map, num_latches);
         let in_cone: Vec<Arc<[Clause]>> = self
-            .entries
             .lock()
-            .unwrap_or_else(|e| e.into_inner())
             .iter()
             .filter(|e| e.support.iter().all(|&l| reduced_of[l].is_some()))
             .map(|e| Arc::clone(&e.clauses))
@@ -1024,10 +1156,7 @@ impl ProofLedger {
         let mut seen = HashSet::new();
         let mut seed = Vec::new();
         for clause in in_cone.iter().flat_map(|c| c.iter()) {
-            let reduced = Clause::from_lits(clause.lits().iter().map(|l| {
-                let r = reduced_of[l.var().index() as usize].expect("support lies in the cone");
-                Var::new(r).lit(l.is_negated())
-            }));
+            let reduced = reduce_clause(clause, &reduced_of).expect("support lies in the cone");
             if let Some(normalized) = reduced.normalized() {
                 if seen.insert(normalized.clone()) {
                     seed.push(normalized);
@@ -1036,11 +1165,111 @@ impl ProofLedger {
         }
         seed
     }
+
+    /// Every ledger clause whose latches all lie in the cone `map`
+    /// keeps, remapped to reduced coordinates: the seed of a local
+    /// cone check.
+    pub(crate) fn cone_seed(&self, map: &CoiMap, num_latches: usize) -> LedgerSeed {
+        let reduced_of = reduced_latches(map, num_latches);
+        let mut seen = HashSet::new();
+        let mut seed = LedgerSeed {
+            clauses: Vec::new(),
+            imports_below: 0,
+            imports: Vec::new(),
+        };
+        for (i, entry) in self.lock().iter().enumerate() {
+            let mut contributed = false;
+            for clause in entry.clauses.iter() {
+                let Some(normalized) =
+                    reduce_clause(clause, &reduced_of).and_then(|c| c.normalized())
+                else {
+                    continue;
+                };
+                contributed = true;
+                if seen.insert(normalized.clone()) {
+                    seed.clauses.push(normalized);
+                }
+            }
+            if contributed {
+                seed.imports.push(i);
+            }
+        }
+        seed
+    }
+
+    /// Every ledger clause, in original coordinates: the seed of a
+    /// local full-design check. Its closure is the whole ledger.
+    pub(crate) fn full_seed(&self) -> LedgerSeed {
+        let entries = self.lock();
+        let mut seen = HashSet::new();
+        let clauses = entries
+            .iter()
+            .flat_map(|e| e.clauses.iter())
+            .filter_map(Clause::normalized)
+            .filter(|c| seen.insert(c.clone()))
+            .collect();
+        LedgerSeed {
+            clauses,
+            imports_below: entries.len(),
+            imports: Vec::new(),
+        }
+    }
+
+    /// Records a local proof seeded with `seed` whose own clauses
+    /// (original coordinates) are `own`, and returns its certificate:
+    /// `own` plus the full certificate of every entry the seed came
+    /// from, transitively.
+    pub(crate) fn close(&self, own: &Certificate, seed: &LedgerSeed) -> Certificate {
+        let mut entries = self.lock();
+        // Entries only ever import from entries below them, so
+        // everything under the highest prefix seen is in the closure.
+        let mut below = seed.imports_below;
+        let mut picked = vec![false; entries.len()];
+        let mut stack = seed.imports.clone();
+        while let Some(i) = stack.pop() {
+            if i < below || picked[i] {
+                continue;
+            }
+            picked[i] = true;
+            below = below.max(entries[i].imports_below);
+            stack.extend(&entries[i].imports);
+        }
+        let mut seen = HashSet::new();
+        let mut dedup = |clauses: &mut Vec<Clause>, c: &Clause| {
+            if let Some(n) = c.normalized() {
+                if seen.insert(n.clone()) {
+                    clauses.push(n);
+                }
+            }
+        };
+        let mut clauses = Vec::new();
+        for c in &own.clauses {
+            dedup(&mut clauses, c);
+        }
+        let own_len = clauses.len();
+        for (i, entry) in entries.iter().enumerate() {
+            if i < below || picked[i] {
+                for c in entry.clauses.iter() {
+                    dedup(&mut clauses, c);
+                }
+            }
+        }
+        if own_len > 0 {
+            entries.push(LedgerEntry {
+                support: clause_support(&clauses[..own_len]),
+                clauses: clauses[..own_len].into(),
+                imports_below: seed.imports_below,
+                imports: seed.imports.clone(),
+            });
+        }
+        Certificate { clauses }
+    }
 }
 
 /// Verifies one cluster: optional joint attempt, seeded from the
-/// `ledger`'s in-cone certificates, then warm per-property checks with
-/// two-level clause re-use for whatever the attempt left open.
+/// `ledger`'s in-cone certificates, then per-property checks for
+/// whatever the attempt left open — with two-level clause re-use under
+/// global scope, from the `ledger` under local scope.
 #[allow(clippy::too_many_arguments)]
 fn verify_cluster(
     sys: &TransitionSystem,
@@ -1048,6 +1277,7 @@ fn verify_cluster(
     cluster: &[PropertyId],
     opts: &ClusteredOptions,
     assumed: &[PropertyId],
+    supports: &[Vec<usize>],
     global_db: &ClauseDb,
     ledger: Option<&ProofLedger>,
     deadline: Option<Instant>,
@@ -1104,7 +1334,7 @@ fn verify_cluster(
                     Some(CheckOutcome::Proved(lifted.clone()))
                 }
                 CheckOutcome::Falsified(cex) => {
-                    lift_counterexample(sys, &map, id, &cex).map(CheckOutcome::Falsified)
+                    lift_counterexample(sys, &map, id, &[], &cex).map(CheckOutcome::Falsified)
                 }
                 CheckOutcome::Unknown(_) => None,
             };
@@ -1127,33 +1357,34 @@ fn verify_cluster(
         remaining.retain(|p| !solved.contains(p));
     }
 
-    // Warm per-property path: eager cluster import, lazy global
-    // refresh through the two-level source.
+    // Per-property path. Under global scope: eager cluster import,
+    // lazy global refresh through the two-level source. Under local
+    // scope each check is cone-first and re-uses the run's ledger.
+    let two_level = reuse && opts.separate.scope == Scope::Global;
     for &id in &remaining {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             results.push(budget_expired(sys, id, &opts.separate));
             continue;
         }
         let source = TwoLevelSource::new(&cluster_db, global_db);
-        let (imported, src): (_, Option<(&dyn ClauseSource, u64)>) = if reuse {
-            (
-                cluster_db.snapshot(),
-                Some((&source, source.primed_cursor())),
-            )
-        } else {
-            (Vec::new(), None)
+        let check_reuse = match ledger {
+            Some(_) if two_level => {
+                Reuse::Store(cluster_db.snapshot(), &source, source.primed_cursor())
+            }
+            Some(ledger) => Reuse::Ledger(ledger),
+            None => Reuse::Off,
         };
-        let result = check_one_imports(
+        let result = check_one(
             sys,
             id,
             assumed,
-            imported,
-            src,
+            supports,
+            check_reuse,
             &opts.separate,
             deadline,
             pool,
         );
-        if reuse {
+        if two_level {
             if let CheckOutcome::Proved(cert) = &result.outcome {
                 cluster_db.publish(cert.clauses.iter().cloned());
                 if let Some(ledger) = ledger {
@@ -1165,7 +1396,7 @@ fn verify_cluster(
     }
 
     // Share what the cluster learned with everyone else.
-    if reuse {
+    if two_level {
         global_db.publish(cluster_db.snapshot());
     }
     results

@@ -13,7 +13,10 @@ pub enum Scope {
     /// No assumptions: plain model checking.
     Global,
     /// Under the assumption that every ETH property holds in every
-    /// non-final state.
+    /// non-final state. The drivers prove such a verdict on the
+    /// property's cone first, assuming only the ETH properties whose
+    /// latch support lies inside its own; a proof under fewer
+    /// assumptions is also a proof under all of them.
     Local,
 }
 

@@ -140,10 +140,10 @@ impl Shard {
 
 /// Cap on the addition log. Beyond it the oldest half is dropped
 /// (advancing `base`), so the log cannot grow unboundedly past the
-/// live store on eviction-heavy workloads. Readers whose cursor falls
-/// behind the compacted window simply miss those mid-run additions —
-/// clause re-use is best-effort, so that only costs redundant work,
-/// never soundness.
+/// live store on eviction-heavy workloads. The cut can fall inside a
+/// publish batch, so a reader whose cursor falls behind the compacted
+/// window gets the whole store instead of the log's tail (see
+/// [`ClauseDb::clauses_since`]).
 const LOG_CAP: usize = 1 << 15;
 
 /// The append-only addition log behind [`ClauseDb::clauses_since`].
@@ -254,6 +254,12 @@ impl ClauseDb {
     /// A snapshot of the current clauses, taken between publishes.
     pub fn snapshot(&self) -> Vec<Clause> {
         let _log = self.inner.log.lock().unwrap_or_else(|e| e.into_inner());
+        self.stored()
+    }
+
+    /// Every stored clause. Callers hold the log lock, so no publish is
+    /// halfway done.
+    fn stored(&self) -> Vec<Clause> {
         let mut out = Vec::new();
         for i in 0..NUM_SHARDS {
             out.extend(self.lock(i).clauses.iter().flatten().cloned());
@@ -270,14 +276,19 @@ impl ClauseDb {
 
     /// The clauses added after cursor `since` (a previous
     /// [`ClauseDb::version`] reading), plus the new cursor. This is the
-    /// O(delta) refresh path engines use mid-run; a cursor from before
-    /// the last [`ClauseDb::clear`] or log compaction re-delivers
-    /// everything still logged, which readers deduplicate.
+    /// O(delta) refresh path engines use mid-run. A cursor from before
+    /// the last [`ClauseDb::clear`] or log compaction gets the whole
+    /// store instead, which readers deduplicate: the log's oldest
+    /// retained entry may sit inside a publish batch, and half a batch
+    /// is half a certificate (see [`ClauseDb::publish`]).
     pub fn clauses_since(&self, since: u64) -> (Vec<Clause>, u64) {
         let log = self.inner.log.lock().unwrap_or_else(|e| e.into_inner());
-        let skip = since.saturating_sub(log.base) as usize;
-        let fresh = log.clauses.iter().skip(skip).cloned().collect();
-        (fresh, log.base + log.clauses.len() as u64)
+        let cursor = log.base + log.clauses.len() as u64;
+        if since < log.base {
+            return (self.stored(), cursor);
+        }
+        let skip = (since - log.base) as usize;
+        (log.clauses.iter().skip(skip).cloned().collect(), cursor)
     }
 
     /// Number of stored clauses.
@@ -510,12 +521,39 @@ mod tests {
         db.publish((0..n).map(|v| clause(&[(v, false)])));
         assert_eq!(db.len(), n as usize);
         assert_eq!(db.version(), u64::from(n));
-        let (logged, cursor) = db.clauses_since(0);
-        assert!(logged.len() <= LOG_CAP, "log holds {}", logged.len());
+        let logged = db.inner.log.lock().unwrap().clauses.len();
+        assert!(logged <= LOG_CAP, "log holds {logged}");
+        // A cursor behind the compacted window gets the whole store.
+        let (all, cursor) = db.clauses_since(0);
+        assert_eq!(all.len(), n as usize);
         assert_eq!(cursor, u64::from(n));
         // Recent additions are still delivered exactly.
         let (tail, _) = db.clauses_since(u64::from(n) - 5);
         assert_eq!(tail.len(), 5);
+    }
+
+    #[test]
+    fn a_lagging_cursor_never_gets_part_of_a_batch() {
+        // Batches of distinct units whose size does not divide the cap:
+        // the first compaction drains half the log, which cuts a batch.
+        const BATCH: u32 = 1000;
+        let db = ClauseDb::new();
+        let cursor = db.version();
+        let mut batches = 0u32;
+        while db.inner.log.lock().unwrap().base % u64::from(BATCH) == 0 {
+            let vars = batches * BATCH..(batches + 1) * BATCH;
+            db.publish(vars.map(|v| clause(&[(v, false)])));
+            batches += 1;
+        }
+        let (fresh, next) = db.clauses_since(cursor);
+        assert_eq!(next, db.version());
+        let mut per_batch = vec![0u32; batches as usize];
+        for c in &fresh {
+            per_batch[(c.lits()[0].var().index() / BATCH) as usize] += 1;
+        }
+        for (b, &n) in per_batch.iter().enumerate() {
+            assert!(n == 0 || n == BATCH, "batch {b}: {n} of {BATCH} clauses");
+        }
     }
 
     #[test]

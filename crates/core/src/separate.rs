@@ -5,13 +5,17 @@
 //! Expected-To-Hold property is assumed in non-final states), each
 //! with or without clause re-use.
 
+use crate::cluster::latch_supports;
+use crate::pipeline::{lift_certificate, lift_counterexample, ProofLedger};
 use crate::{ClauseDb, MultiReport, PropertyResult, Scope};
 use japrove_ic3::{
-    CheckOutcome, ClauseSource, Ic3Options, Lifting, SolverCtx, TsEncoding, UnknownReason,
+    CheckOutcome, ClauseSource, Ic3, Ic3Options, Lifting, RunStats, SolverCtx, TsEncoding,
+    UnknownReason,
 };
+use japrove_logic::Clause;
 use japrove_obs::{EventKind, Journal, Phase};
 use japrove_sat::{BackendChoice, Budget};
-use japrove_tsys::{replay, Expectation, PropertyId, TransitionSystem};
+use japrove_tsys::{replay, Expectation, PropertyId, Replay, TransitionSystem};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -91,7 +95,13 @@ impl CtxPool {
 pub struct SeparateOptions {
     /// Proof scope: local realizes JA-verification.
     pub scope: Scope,
-    /// Re-use strengthening clauses across properties (§6).
+    /// Re-use strengthening clauses across properties (§6). Under
+    /// [`Scope::Global`] proofs exchange clauses through a
+    /// [`ClauseDb`]. Under [`Scope::Local`] they go through the run's
+    /// proof ledger: each cone check is seeded with every proved clause
+    /// over its latches, and its certificate then carries the whole
+    /// certificates those clauses came from, so it re-verifies under
+    /// the full ETH set.
     pub reuse: bool,
     /// Lifting mode for local proofs (§7-A).
     pub lifting: Lifting,
@@ -252,42 +262,49 @@ pub fn local_assumptions(sys: &TransitionSystem) -> Vec<PropertyId> {
         .collect()
 }
 
-/// Checks one property in the given context, handling the spurious-
-/// counterexample retry of §7-A. Used by both the sequential and the
-/// parallel drivers.
-pub(crate) fn check_one(
-    sys: &TransitionSystem,
-    id: PropertyId,
-    assumed: &[PropertyId],
-    db: &ClauseDb,
-    opts: &SeparateOptions,
-    deadline: Option<Instant>,
-    pool: &mut CtxPool,
-) -> PropertyResult {
-    // The version is read *before* the snapshot: clauses published in
-    // between are both in the snapshot and re-offered by the first
-    // refresh, where deduplication drops them — never lost.
-    let db_version = db.version();
-    let imported = if opts.reuse {
-        db.snapshot()
-    } else {
-        Vec::new()
-    };
-    // With re-use on, the engine can also poll the store mid-run, so a
-    // long proof sees clauses published after its snapshot was taken.
-    let source: Option<(&dyn ClauseSource, u64)> = if opts.reuse {
-        Some((db, db_version))
-    } else {
-        None
-    };
-    check_one_imports(sys, id, assumed, imported, source, opts, deadline, pool)
+/// Where a check's imported clauses come from (§6).
+pub(crate) enum Reuse<'a> {
+    /// No clause re-use.
+    Off,
+    /// Global scope: clauses imported up front, plus the store the
+    /// engine refreshes from mid-run with that store's version read
+    /// before the import was taken. The caller supplies only clauses
+    /// that are sound for global proofs (§6-B).
+    Store(Vec<Clause>, &'a dyn ClauseSource, u64),
+    /// Local scope: the run's proof ledger seeds the check, and the
+    /// check records its proof there.
+    Ledger(&'a ProofLedger),
 }
 
-/// [`check_one`] with the imported clauses and refresh source supplied
-/// by the caller — the clustered driver uses this to import its
-/// cluster-scoped store eagerly while refreshing from a two-level
-/// source. The caller is responsible for only supplying clauses that
-/// are sound for the proof scope in `opts` (§6-B).
+impl<'a> Reuse<'a> {
+    /// Global-scope re-use through `db`: its current clauses, then
+    /// whatever is published to it while the engine runs.
+    pub(crate) fn from_db(db: &'a ClauseDb) -> Self {
+        // The version is read *before* the snapshot: clauses published
+        // in between are both in the snapshot and re-offered by the
+        // first refresh, where deduplication drops them — never lost.
+        let version = db.version();
+        Reuse::Store(db.snapshot(), db, version)
+    }
+}
+
+/// Checks one property. The sequential, parallel and clustered drivers
+/// all call this; `supports` holds every property's latch support.
+///
+/// Under [`Scope::Local`] the check is *cone-first*. It proves `id` on
+/// the cone reduction of `id` plus every assumed property whose latch
+/// support lies inside `id`'s, assuming those properties there. Fewer
+/// assumptions admit more traces, so such a proof is also a local
+/// proof under the full assumption set; its certificate is lifted back
+/// through the [`japrove_tsys::CoiMap`] and, when the run's proof
+/// ledger seeded the cone, closed over the certificates the seed came
+/// from (see `ProofLedger`). A cone counterexample is
+/// lifted, replayed on the full design and accepted only if no assumed
+/// property fails before its final state. A rejected counterexample,
+/// or an Unknown with budget left, falls back to the warm full-design
+/// check, §7-A re-run included; one per-property deadline covers both
+/// attempts. A cone that would keep every latch goes straight to the
+/// full-design check. Global scope always runs the full-design check.
 ///
 /// The whole check runs under `catch_unwind`: an engine panic (or an
 /// injected chaos panic at the `check_one` fault site) degrades *this
@@ -296,12 +313,12 @@ pub(crate) fn check_one(
 /// context — the next check rebuilds a fresh one over the still-warm
 /// shared encoding — and the run continues.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn check_one_imports(
+pub(crate) fn check_one(
     sys: &TransitionSystem,
     id: PropertyId,
     assumed: &[PropertyId],
-    imported: Vec<japrove_logic::Clause>,
-    source: Option<(&dyn ClauseSource, u64)>,
+    supports: &[Vec<usize>],
+    reuse: Reuse<'_>,
     opts: &SeparateOptions,
     deadline: Option<Instant>,
     pool: &mut CtxPool,
@@ -310,7 +327,7 @@ pub(crate) fn check_one_imports(
     let name = sys.property(id).name.clone();
     let backend = opts.backend_of(id);
     let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        check_one_unguarded(sys, id, assumed, imported, source, opts, deadline, pool)
+        check_one_unguarded(sys, id, assumed, supports, reuse, opts, deadline, pool)
     }));
     match checked {
         Ok(result) => result,
@@ -336,14 +353,34 @@ pub(crate) fn check_one_imports(
     }
 }
 
-/// The body of [`check_one_imports`], without the supervision wrapper.
+/// Folds a later attempt on the same property into `total`: the work
+/// counters add up, frames and clauses are the later attempt's.
+fn add_attempt(total: &mut RunStats, s: RunStats) {
+    total.sat += s.sat;
+    total.queries += s.queries;
+    total.obligations += s.obligations;
+    total.generalized_lits += s.generalized_lits;
+    total.clauses = s.clauses;
+    total.frames = s.frames;
+}
+
+/// `true` if a replayed trace violates an `assumed` property in some
+/// state before its final one: then it is no trace of the projected
+/// system `T^P` (§7-A). [`japrove_tsys::Trace::len`] counts
+/// transitions, so these are the states `0..len`.
+pub(crate) fn breaks_assumption_early(r: &Replay, assumed: &[PropertyId]) -> bool {
+    (0..r.num_states().saturating_sub(1))
+        .any(|k| r.violated_at(k).iter().any(|p| assumed.contains(p)))
+}
+
+/// The body of [`check_one`], without the supervision wrapper.
 #[allow(clippy::too_many_arguments)]
 fn check_one_unguarded(
     sys: &TransitionSystem,
     id: PropertyId,
     assumed: &[PropertyId],
-    imported: Vec<japrove_logic::Clause>,
-    source: Option<(&dyn ClauseSource, u64)>,
+    supports: &[Vec<usize>],
+    reuse: Reuse<'_>,
     opts: &SeparateOptions,
     deadline: Option<Instant>,
     pool: &mut CtxPool,
@@ -353,54 +390,24 @@ fn check_one_unguarded(
         .journal
         .span_labeled(Phase::Property, sys.property(id).name.as_str());
     japrove_obs::fault::fire("check_one", &sys.property(id).name);
-    let mut budget = Budget::unlimited();
-    match (opts.per_property, opts.property_timeout) {
-        (Some(a), Some(b)) => budget = budget.with_timeout(a.min(b)),
-        (Some(d), None) | (None, Some(d)) => budget = budget.with_timeout(d),
-        (None, None) => {}
-    }
-    if let Some(d) = deadline {
-        budget = budget.with_deadline(d);
-    }
+    // One absolute deadline covers the cone attempt and any fallback.
+    // A run deadline, when set, replaces the per-property limits.
+    let deadline = deadline.or_else(|| {
+        let limit = match (opts.per_property, opts.property_timeout) {
+            (Some(a), Some(b)) => a.min(b),
+            (Some(d), None) | (None, Some(d)) => d,
+            (None, None) => return None,
+        };
+        started.checked_add(limit)
+    });
+    let budget = deadline.map_or_else(Budget::unlimited, |d| Budget::unlimited().with_deadline(d));
     let backend = opts.backend_of(id);
     let base = opts
         .ic3
         .lifting(opts.lifting)
         .budget(budget)
         .backend(backend);
-    let ctx = pool.get(backend);
-    let (mut outcome, mut stats) = ctx.check(sys, id, base, assumed, imported.clone(), source);
-    let mut frames = stats.frames;
-    let mut retried = false;
-
-    // Spurious-CEX detection for local proofs with ignore-mode lifting:
-    // the materialized trace is always a real trace of T, but its
-    // prefix may violate an assumed property — then it is not a trace
-    // of T^P and the property must be re-checked with lifting that
-    // respects the constraints (§7-A).
-    if opts.scope == Scope::Local && opts.lifting == Lifting::Ignore {
-        if let CheckOutcome::Falsified(cex) = &outcome {
-            let r = replay(sys, &cex.trace).expect("engine traces replay");
-            let spurious =
-                (0..cex.trace.len()).any(|k| r.violated_at(k).iter().any(|p| assumed.contains(p)));
-            if spurious {
-                retried = true;
-                let strict = base.lifting(Lifting::Respect);
-                let (o, s) = ctx.check(sys, id, strict, assumed, imported, source);
-                outcome = o;
-                frames = s.frames;
-                // Both runs worked on this property; report their sum.
-                stats.sat += s.sat;
-                stats.queries += s.queries;
-                stats.obligations += s.obligations;
-                stats.generalized_lits += s.generalized_lits;
-                stats.clauses = s.clauses;
-                stats.frames = s.frames;
-            }
-        }
-    }
-
-    PropertyResult {
+    let result = |outcome, frames, retried, stats| PropertyResult {
         id,
         name: sys.property(id).name.clone(),
         outcome,
@@ -411,22 +418,161 @@ fn check_one_unguarded(
         backend,
         stats,
         cached: false,
+    };
+
+    let mut stats = RunStats::default();
+    if opts.scope == Scope::Local {
+        let ledger = match &reuse {
+            Reuse::Ledger(ledger) => Some(*ledger),
+            _ => None,
+        };
+        match check_on_cone(sys, id, assumed, supports, ledger, base, &opts.journal) {
+            ConeAttempt::Decided(outcome, s) => return result(outcome, s.frames, false, s),
+            ConeAttempt::Undecided(s) => stats = s,
+            ConeAttempt::Skipped => {}
+        }
+    }
+
+    let (imported, source, seed) = match reuse {
+        Reuse::Off => (Vec::new(), None, None),
+        Reuse::Store(imported, source, version) => (imported, Some((source, version)), None),
+        Reuse::Ledger(ledger) => {
+            let seed = ledger.full_seed();
+            (seed.clauses.clone(), None, Some((ledger, seed)))
+        }
+    };
+    let ctx = pool.get(backend);
+    let (mut outcome, s) = ctx.check(sys, id, base, assumed, imported.clone(), source);
+    add_attempt(&mut stats, s);
+    let mut retried = false;
+
+    // Spurious-CEX detection for local proofs with ignore-mode lifting:
+    // the materialized trace is always a real trace of T, but its
+    // prefix may violate an assumed property — then it is not a trace
+    // of T^P and the property must be re-checked with lifting that
+    // respects the constraints (§7-A).
+    if opts.scope == Scope::Local && opts.lifting == Lifting::Ignore {
+        if let CheckOutcome::Falsified(cex) = &outcome {
+            let r = replay(sys, &cex.trace).expect("engine traces replay");
+            if breaks_assumption_early(&r, assumed) {
+                retried = true;
+                let strict = base.lifting(Lifting::Respect);
+                let (o, s) = ctx.check(sys, id, strict, assumed, imported, source);
+                outcome = o;
+                // Every attempt worked on this property; report the sum.
+                add_attempt(&mut stats, s);
+            }
+        }
+    }
+
+    if let (CheckOutcome::Proved(cert), Some((ledger, seed))) = (&outcome, &seed) {
+        outcome = CheckOutcome::Proved(ledger.close(&seed.own(cert), seed));
+    }
+    result(outcome, stats.frames, retried, stats)
+}
+
+/// The cone-first attempt of a local check (see [`check_one`]).
+enum ConeAttempt {
+    /// The reduction would keep every latch: it is the identity, and
+    /// the warm full-design check is strictly cheaper.
+    Skipped,
+    /// A verdict that stands on the full design: a lifted certificate,
+    /// an accepted counterexample, or an Unknown whose budget is spent.
+    Decided(CheckOutcome, RunStats),
+    /// A rejected counterexample or an Unknown with budget left; the
+    /// full-design check decides.
+    Undecided(RunStats),
+}
+
+/// Runs the cone-first attempt of a local check of `id`: a cold engine
+/// on `restrict_to_cone([id] ∪ A)`, where `A` holds the assumed
+/// properties whose latch support lies inside `id`'s. With a `ledger`
+/// the cone is seeded clause by clause and its proof recorded.
+fn check_on_cone(
+    sys: &TransitionSystem,
+    id: PropertyId,
+    assumed: &[PropertyId],
+    supports: &[Vec<usize>],
+    ledger: Option<&ProofLedger>,
+    base: Ic3Options,
+    journal: &Journal,
+) -> ConeAttempt {
+    let support = &supports[id.index()];
+    if support.len() == sys.num_latches() {
+        return ConeAttempt::Skipped;
+    }
+    let mut in_support = vec![false; sys.num_latches()];
+    for &l in support {
+        in_support[l] = true;
+    }
+    let members: Vec<PropertyId> = std::iter::once(id)
+        .chain(
+            assumed
+                .iter()
+                .copied()
+                .filter(|&q| q != id && supports[q.index()].iter().all(|&l| in_support[l])),
+        )
+        .collect();
+    let (cone, map) = sys.restrict_to_cone(&members);
+    if map.latches.len() == sys.num_latches() {
+        return ConeAttempt::Skipped;
+    }
+    // Reduced ids follow `members`. The cone assumes every member but
+    // `id`, and `id` too where the full-design check would.
+    let cone_assumed: Vec<PropertyId> = (0..members.len())
+        .filter(|&i| i > 0 || assumed.contains(&id))
+        .map(PropertyId::new)
+        .collect();
+    let seed = ledger.map(|l| (l, l.cone_seed(&map, sys.num_latches())));
+    let imported = seed
+        .as_ref()
+        .map_or_else(Vec::new, |(_, s)| s.clauses.clone());
+    let mut engine = Ic3::with_context(&cone, PropertyId::new(0), base, cone_assumed, imported);
+    engine.set_journal(journal.clone());
+    let outcome = engine.run();
+    let stats = *engine.stats();
+    match outcome {
+        CheckOutcome::Proved(cert) => {
+            let cert = match &seed {
+                Some((ledger, seed)) => {
+                    ledger.close(&lift_certificate(&seed.own(&cert), &map), seed)
+                }
+                None => lift_certificate(&cert, &map),
+            };
+            ConeAttempt::Decided(CheckOutcome::Proved(cert), stats)
+        }
+        CheckOutcome::Falsified(cex) => match lift_counterexample(sys, &map, id, assumed, &cex) {
+            Some(cex) => ConeAttempt::Decided(CheckOutcome::Falsified(cex), stats),
+            None => ConeAttempt::Undecided(stats),
+        },
+        CheckOutcome::Unknown(reason) if base.budget.deadline_passed() => {
+            ConeAttempt::Decided(CheckOutcome::Unknown(reason), stats)
+        }
+        CheckOutcome::Unknown(_) => ConeAttempt::Undecided(stats),
     }
 }
 
-/// Checks a single property in an explicit context: assumption set,
-/// clause store and options. Exposed for custom drivers (e.g. the
-/// per-property probes of Table X); [`separate_verify`] is the
+/// Checks a single property in an explicit context: assumption set and
+/// options, with no clause re-use. Exposed for custom drivers (e.g.
+/// the per-property probes of Table X); [`separate_verify`] is the
 /// standard entry point.
 pub fn check_one_property(
     sys: &TransitionSystem,
     id: PropertyId,
     assumed: &[PropertyId],
-    db: &ClauseDb,
     opts: &SeparateOptions,
     deadline: Option<Instant>,
 ) -> PropertyResult {
-    check_one(sys, id, assumed, db, opts, deadline, &mut CtxPool::new(sys))
+    check_one(
+        sys,
+        id,
+        assumed,
+        &latch_supports(sys),
+        Reuse::Off,
+        opts,
+        deadline,
+        &mut CtxPool::new(sys),
+    )
 }
 
 /// Runs separate verification over all properties.
@@ -466,4 +612,57 @@ pub fn ja_verify(sys: &TransitionSystem, opts: &SeparateOptions) -> MultiReport 
     let mut opts = opts.clone();
     opts.scope = Scope::Local;
     separate_verify(sys, &opts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::validate_debugging_set;
+    use japrove_aig::Aig;
+    use japrove_ic3::verify_certificate;
+    use japrove_tsys::Word;
+
+    /// Two latch groups: a 2-bit counter `a` and a latch `b` stuck at
+    /// 0. `p` = `a < 3` fails at depth 3; `q` = ¬(`a` = 2 ∧ ¬`b`)
+    /// fails at depth 2. `q`'s support does not lie inside `p`'s, so
+    /// `p`'s cone does not assume `q`, and its counterexample violates
+    /// `q` at step 2.
+    fn two_groups() -> (TransitionSystem, PropertyId, PropertyId) {
+        let mut aig = Aig::new();
+        let a = Word::latches(&mut aig, 2, 0);
+        let next = a.increment(&mut aig);
+        a.set_next(&mut aig, &next);
+        let b = aig.add_latch(false);
+        aig.set_next(b, b);
+        let p_good = a.lt_const(&mut aig, 3);
+        let at_two = a.eq_const(&mut aig, 2);
+        let q_bad = aig.and(at_two, !b);
+        let mut sys = TransitionSystem::new("two_groups", aig);
+        let q = sys.add_property("q", !q_bad);
+        let p = sys.add_property("p", p_good);
+        (sys, p, q)
+    }
+
+    #[test]
+    fn a_cone_counterexample_that_breaks_an_outside_assumption_falls_back() {
+        let (sys, p, q) = two_groups();
+        assert!(sys.latch_support(p).len() < sys.num_latches());
+        let assumed = local_assumptions(&sys);
+        for reuse in [true, false] {
+            let report = ja_verify(&sys, &SeparateOptions::local().reuse(reuse));
+            assert!(
+                report.result(q).expect("q").fails(),
+                "reuse {reuse}: {report}"
+            );
+            let r = report.result(p).expect("p");
+            let cert = r
+                .outcome
+                .certificate()
+                .unwrap_or_else(|| panic!("reuse {reuse}: p must hold locally: {report}"));
+            verify_certificate(&sys, p, &assumed, cert)
+                .unwrap_or_else(|e| panic!("reuse {reuse}: {e}"));
+            validate_debugging_set(&sys, &report, &assumed)
+                .unwrap_or_else(|e| panic!("reuse {reuse}: {e}"));
+        }
+    }
 }

@@ -453,6 +453,53 @@ fn certificates_from_multi_property_runs_verify() {
     }
 }
 
+/// Local certificates are closed over the proofs whose clauses seeded
+/// them, so each must re-verify under the full ETH set — on every
+/// genbench family, sequentially and at two workers, with re-use on.
+#[test]
+fn ja_certificates_and_debugging_sets_check_out_on_every_family() {
+    use japrove::core::validate_debugging_set;
+    use japrove::genbench::{all_true_specs, failing_specs, many_props_specs};
+    let opts = SeparateOptions::local().reuse(true);
+    let specs = many_props_specs()
+        .into_iter()
+        .chain(failing_specs())
+        .chain(all_true_specs());
+    for spec in specs {
+        let design = spec.generate();
+        let sys = &design.sys;
+        let assumed = japrove::core::local_assumptions(sys);
+        for report in [ja_verify(sys, &opts), parallel_ja_verify(sys, 2, &opts)] {
+            for r in &report.results {
+                let fails = design.expected[r.id.index()].fails_locally();
+                assert_eq!(
+                    r.fails(),
+                    fails,
+                    "{}/{}: {}",
+                    spec.name,
+                    r.name,
+                    report.method
+                );
+                assert_eq!(
+                    r.holds(),
+                    !fails,
+                    "{}/{}: {}",
+                    spec.name,
+                    r.name,
+                    report.method
+                );
+                if let CheckOutcome::Proved(cert) = &r.outcome {
+                    verify_certificate(sys, r.id, &assumed, cert).unwrap_or_else(|e| {
+                        panic!("{}/{}: {}: {e}", spec.name, r.name, report.method)
+                    });
+                }
+            }
+            validate_debugging_set(sys, &report, &assumed)
+                .unwrap_or_else(|e| panic!("{}: {}: {e}", spec.name, report.method));
+        }
+    }
+}
+
 #[test]
 fn enumeration_parity_between_separate_and_clustered() {
     // The distinct-failure set of a falsified property is a semantic

@@ -169,6 +169,41 @@ fn enumeration_spans_cover_wall_clock() {
     }
 }
 
+/// JA checks each property on its cone, between property spans that
+/// must still account for the run: on syn_6s400, the top-level spans
+/// must cover 95% of the run span.
+#[test]
+fn ja_spans_cover_wall_clock() {
+    let _serial = serial();
+    let sys = resolve_spec("syn_6s400")
+        .expect("known family")
+        .generate()
+        .sys;
+    let journal = Journal::new();
+    let report = {
+        let _run = journal.span(Phase::Run);
+        ja_verify(&sys, &SeparateOptions::local().journal(journal.clone()))
+    };
+    assert_eq!(report.num_unsolved(), 0);
+    let events = journal.events();
+    let run_us = events
+        .iter()
+        .find_map(|e| match e.kind {
+            EventKind::Span {
+                phase: Phase::Run,
+                dur_us,
+                ..
+            } => Some(dur_us),
+            _ => None,
+        })
+        .expect("one run span");
+    let covered = top_level_span_us(&events);
+    assert!(
+        covered as f64 >= 0.95 * run_us as f64,
+        "phase spans cover {covered} us of the {run_us} us run span"
+    );
+}
+
 /// Whatever a real run emits must survive the strict JSONL schema —
 /// the same check `japrove --check-trace` (and the CI smoke job)
 /// performs.
